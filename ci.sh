@@ -9,11 +9,14 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy (denied warnings)"
+# The root clippy.toml bans wall-clock types and raw threading; the gated
+# crates' lib.rs headers ban unwrap/expect/panic outside tests.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> invariant lint (anubis-xtask)"
-# Stale allowlist entries fail by default now.
-cargo run -p anubis-xtask --offline -- lint
+echo "==> perfbench: clippy, build, tests (a package outside the workspace)"
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets --offline -- -D warnings
+cargo build --manifest-path perfbench/Cargo.toml --offline
+cargo test -q --manifest-path perfbench/Cargo.toml --offline
 
 echo "==> call-graph analysis (anubis-xtask)"
 cargo run -p anubis-xtask --offline -- analyze --json target/analysis.sarif.json

@@ -50,6 +50,13 @@
 //! arena.give(reused);
 //! ```
 
+// Panic-freedom: this crate runs in the fleet-facing validation path, so
+// clippy (`-D warnings` in CI) rejects unwrap/expect/panic outside tests.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};
 

@@ -26,7 +26,9 @@
 //! byte-deterministic — identical for any `ANUBIS_THREADS` / `--threads`
 //! value and any `--shards` count — while wall-clock throughput figures
 //! (events/s, nodes validated/s) go to stderr. CI's service-smoke step
-//! byte-compares two runs at different thread counts.
+//! byte-compares two runs at different thread counts. A configuration
+//! that `FleetdConfig::validate` rejects (`--shards 0`, more shards than
+//! nodes, `--ticks 0`, …) exits 2 with the reason before anything runs.
 
 use anubis_bench::experiments::{
     appendix_a, fig1, fig2, fig3, fig4, fig5, fig6, fig8, fig9, table1, table3, table5, table6,
@@ -278,7 +280,7 @@ struct FleetdCli {
 }
 
 /// Parses the `fleetd` subcommand's flags (`--flag N` and `--flag=N`
-/// forms for the numeric knobs).
+/// forms for the numeric knobs) and validates the resulting config.
 fn parse_fleetd_args(args: &[String]) -> Result<FleetdCli, String> {
     fn numeric<T: std::str::FromStr>(
         flag: &str,
@@ -346,6 +348,9 @@ fn parse_fleetd_args(args: &[String]) -> Result<FleetdCli, String> {
         }
         i += 1;
     }
+    cli.config
+        .validate()
+        .map_err(|error| format!("invalid fleetd configuration: {error}"))?;
     Ok(cli)
 }
 
@@ -524,5 +529,42 @@ fn main() {
             trace.dropped,
             path.display()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| (*a).to_owned()).collect()
+    }
+
+    #[test]
+    fn fleetd_args_parse_into_a_valid_config() {
+        let cli = parse_fleetd_args(&args(&["--nodes", "64", "--shards=4", "--ticks", "3"]))
+            .expect("valid arguments");
+        assert_eq!(
+            (cli.config.nodes, cli.config.shards, cli.config.ticks),
+            (64, 4, 3)
+        );
+    }
+
+    #[test]
+    fn fleetd_args_reject_invalid_configs() {
+        for (list, reason) in [
+            (&["--shards", "0"][..], "shards must be at least 1"),
+            (
+                &["--nodes", "4", "--shards", "16"][..],
+                "shards (16) must not exceed nodes (4)",
+            ),
+            (&["--ticks=0"][..], "ticks must be at least 1"),
+            (&["--nodes", "0"][..], "nodes must be at least 1"),
+        ] {
+            match parse_fleetd_args(&args(list)) {
+                Ok(_) => panic!("{list:?} must be rejected"),
+                Err(message) => assert!(message.ends_with(reason), "{list:?}: {message}"),
+            }
+        }
     }
 }

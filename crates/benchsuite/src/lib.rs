@@ -12,10 +12,12 @@
 //! [`BenchmarkId`] enumerates the suite; [`runner`] executes (sub)sets in
 //! the paper's two-phase order.
 
-// Panic-freedom: this crate runs in the fleet-facing validation path.
-// The xtask lint enforces the same invariant lexically; this makes the
-// compiler enforce it too (tests may unwrap freely).
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+// Panic-freedom: this crate runs in the fleet-facing validation path, so
+// clippy (`-D warnings` in CI) rejects unwrap/expect/panic outside tests.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod id;
 pub mod parallel;

@@ -1,6 +1,7 @@
 //! Configuration of the fleetd control plane.
 
 use anubis_traces::{AllocationConfig, IncidentStreamConfig};
+use std::fmt;
 
 /// All knobs of a fleetd run. Every field is deterministic input: two
 /// runs with equal configs produce byte-identical summaries and tick
@@ -107,7 +108,74 @@ impl Default for FleetdConfig {
     }
 }
 
+/// Why a [`FleetdConfig`] was rejected by [`FleetdConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FleetdConfigError {
+    /// `nodes` is zero.
+    NoNodes,
+    /// `shards` is zero.
+    NoShards,
+    /// More shards than nodes: some shard would own no node.
+    MoreShardsThanNodes {
+        /// Requested shard count.
+        shards: u32,
+        /// Fleet size.
+        nodes: u32,
+    },
+    /// `ticks` is zero.
+    NoTicks,
+    /// `tick_hours` is not a finite positive number.
+    TickHours(f64),
+    /// `defect_quantile` is outside `[0, 1]`.
+    DefectQuantile(f64),
+}
+
+impl fmt::Display for FleetdConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::NoNodes => write!(f, "nodes must be at least 1"),
+            Self::NoShards => write!(f, "shards must be at least 1"),
+            Self::MoreShardsThanNodes { shards, nodes } => {
+                write!(f, "shards ({shards}) must not exceed nodes ({nodes})")
+            }
+            Self::NoTicks => write!(f, "ticks must be at least 1"),
+            Self::TickHours(h) => write!(f, "tick_hours must be finite and positive, got {h}"),
+            Self::DefectQuantile(q) => write!(f, "defect_quantile must be in [0, 1], got {q}"),
+        }
+    }
+}
+
+impl std::error::Error for FleetdConfigError {}
+
 impl FleetdConfig {
+    /// Rejects configurations that would otherwise be silently clamped
+    /// (shard counts), run to an empty result (zero nodes or ticks), or
+    /// break the tick arithmetic (`tick_hours`, `defect_quantile`).
+    pub fn validate(&self) -> Result<(), FleetdConfigError> {
+        if self.nodes == 0 {
+            return Err(FleetdConfigError::NoNodes);
+        }
+        if self.shards == 0 {
+            return Err(FleetdConfigError::NoShards);
+        }
+        if self.shards > self.nodes {
+            return Err(FleetdConfigError::MoreShardsThanNodes {
+                shards: self.shards,
+                nodes: self.nodes,
+            });
+        }
+        if self.ticks == 0 {
+            return Err(FleetdConfigError::NoTicks);
+        }
+        if !(self.tick_hours.is_finite() && self.tick_hours > 0.0) {
+            return Err(FleetdConfigError::TickHours(self.tick_hours));
+        }
+        if !(0.0..=1.0).contains(&self.defect_quantile) {
+            return Err(FleetdConfigError::DefectQuantile(self.defect_quantile));
+        }
+        Ok(())
+    }
+
     /// The resolved validations-per-tick cap.
     pub fn validation_cap(&self) -> u32 {
         if self.validations_per_tick == 0 {
@@ -141,5 +209,80 @@ impl FleetdConfig {
             node_hours_per_job / (self.target_utilization.max(1e-3) * capacity_per_hour);
         cfg.seed = self.seed ^ 0x5eed_a110_c000_0001;
         cfg
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rejected(edit: impl FnOnce(&mut FleetdConfig)) -> FleetdConfigError {
+        let mut cfg = FleetdConfig::default();
+        edit(&mut cfg);
+        cfg.validate().expect_err("config must be rejected")
+    }
+
+    #[test]
+    fn default_config_is_valid() {
+        assert_eq!(FleetdConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn zero_nodes_rejected() {
+        assert_eq!(rejected(|c| c.nodes = 0), FleetdConfigError::NoNodes);
+    }
+
+    #[test]
+    fn zero_shards_rejected() {
+        assert_eq!(rejected(|c| c.shards = 0), FleetdConfigError::NoShards);
+    }
+
+    #[test]
+    fn more_shards_than_nodes_rejected() {
+        let error = rejected(|c| {
+            c.nodes = 4;
+            c.shards = 16;
+        });
+        assert_eq!(
+            error,
+            FleetdConfigError::MoreShardsThanNodes {
+                shards: 16,
+                nodes: 4
+            }
+        );
+        assert_eq!(error.to_string(), "shards (16) must not exceed nodes (4)");
+    }
+
+    #[test]
+    fn zero_ticks_rejected() {
+        assert_eq!(rejected(|c| c.ticks = 0), FleetdConfigError::NoTicks);
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_tick_hours_rejected() {
+        for hours in [0.0, -1.0, f64::INFINITY] {
+            assert_eq!(
+                rejected(|c| c.tick_hours = hours),
+                FleetdConfigError::TickHours(hours)
+            );
+        }
+        assert!(matches!(
+            rejected(|c| c.tick_hours = f64::NAN),
+            FleetdConfigError::TickHours(h) if h.is_nan()
+        ));
+    }
+
+    #[test]
+    fn defect_quantile_outside_unit_interval_rejected() {
+        for q in [-0.01, 1.5] {
+            assert_eq!(
+                rejected(|c| c.defect_quantile = q),
+                FleetdConfigError::DefectQuantile(q)
+            );
+        }
+        assert!(matches!(
+            rejected(|c| c.defect_quantile = f64::NAN),
+            FleetdConfigError::DefectQuantile(q) if q.is_nan()
+        ));
     }
 }

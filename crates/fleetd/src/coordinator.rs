@@ -233,6 +233,12 @@ pub struct Coordinator {
 impl Coordinator {
     /// Builds the service: one lifecycle table, `shards` workers over
     /// contiguous node ranges, and the arrival stream.
+    ///
+    /// Precondition: `cfg` passes [`FleetdConfig::validate`]. This
+    /// constructor stays infallible and does not check it; callers taking
+    /// configuration from users (`repro fleetd`) validate first. An invalid
+    /// config never panics here, but its shard count is clamped to
+    /// `1..=nodes` and its run may be empty or degenerate.
     pub fn new(cfg: FleetdConfig) -> Self {
         let ranges = shard_ranges(cfg.nodes, cfg.shards);
         let shards: Vec<ShardWorker> = ranges
@@ -392,7 +398,7 @@ impl Coordinator {
             let duration_ticks =
                 ((arrival.duration_hours / self.cfg.tick_hours).ceil() as u32).max(1);
             self.due
-                .entry(tick + duration_ticks)
+                .entry(tick.saturating_add(duration_ticks))
                 .or_default()
                 .push(job_id);
             next_free += want;

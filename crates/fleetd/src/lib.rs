@@ -9,7 +9,7 @@
 //! control plane on the workspace's deterministic substrate:
 //!
 //! - [`FleetdConfig`] — every knob of a run; the full output is a pure
-//!   function of it.
+//!   function of it. [`FleetdConfig::validate`] rejects unusable ones.
 //! - [`ShardWorker`] ([`shard`]) — owns a contiguous node range's data:
 //!   streaming incidents ([`anubis_traces::ShardIncidentSource`]), status
 //!   covariates, hidden degradation, benchmark noise, and the shard
@@ -41,6 +41,6 @@ pub mod config;
 pub mod coordinator;
 pub mod shard;
 
-pub use config::FleetdConfig;
+pub use config::{FleetdConfig, FleetdConfigError};
 pub use coordinator::{Coordinator, FleetSummary, TickSummary};
 pub use shard::{ShardReport, ShardWorker, TickContext};

@@ -14,10 +14,12 @@
 //! - [`scan`]: Appendix A's O(n) circle-method full pairwise scan and the
 //!   O(1) topology-aware quick scan.
 
-// Panic-freedom: this crate runs in the fleet-facing validation path.
-// The xtask lint enforces the same invariant lexically; this makes the
-// compiler enforce it too (tests may unwrap freely).
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+// Panic-freedom: this crate runs in the fleet-facing validation path, so
+// clippy (`-D warnings` in CI) rejects unwrap/expect/panic outside tests.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod collective;
 pub mod congestion;

@@ -1,6 +1,9 @@
 //! Manual timing probe for the MLP hot paths (ignored by default; run
 //! with `cargo test -p anubis-nn --release -- --ignored --nocapture`).
 
+// A wall-clock probe by design; it never feeds a result and is ignored by default.
+#![allow(clippy::disallowed_types)]
+
 use anubis_nn::{Activation, BackwardScratch, Mlp};
 use std::time::Instant;
 

@@ -1,12 +1,14 @@
 //! Wall-clock timing, feature-gated behind `wallclock`.
 //!
 //! This module is the workspace's **only** sanctioned `std::time` facade:
-//! the textual determinism lint allowlists it, and the xtask A004 pass
-//! treats this crate as the timing facade while flagging direct
-//! `Instant`/`SystemTime` use anywhere else. Wall-clock readings are for
-//! operator-facing progress output only (e.g. the repro binary's
-//! per-experiment runtime header); they must never flow into results or
-//! trace records — traces carry virtual time exclusively.
+//! the root `clippy.toml` bans `Instant`/`SystemTime` everywhere else
+//! (`disallowed-types`), and this file holds the one exemption. Wall-clock
+//! readings are for operator-facing progress output only (e.g. the repro
+//! binary's per-experiment runtime header); they must never flow into
+//! results or trace records — traces carry virtual time exclusively.
+
+// The sanctioned wall-clock facade; readings never reach results or traces.
+#![allow(clippy::disallowed_types)]
 
 use std::time::Instant;
 

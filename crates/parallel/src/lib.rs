@@ -1,10 +1,9 @@
 //! Deterministic data-parallel executor.
 //!
-//! Every workspace simulation promises bit-for-bit reproducible output
-//! (see `anubis-xtask lint`), so parallelism must never change results —
-//! only wall-clock time. This crate is the one place allowed to touch
-//! `std::thread` (the `raw-threading` lint forbids it elsewhere) and it
-//! enforces a simple contract that makes thread count unobservable:
+//! Every workspace simulation promises bit-for-bit reproducible output,
+//! so parallelism must never change results — only wall-clock time. This
+//! crate is the one place allowed to touch `std::thread` (the root
+//! `clippy.toml` forbids `spawn`/`scope` elsewhere) and it enforces a simple contract that makes thread count unobservable:
 //!
 //! 1. **Fixed-size chunking.** Work is split into chunks whose size is a
 //!    caller-chosen constant, *independent of the thread count*. A chunk
@@ -128,6 +127,8 @@ where
     let run = &run;
     let mut tagged: Vec<(usize, R)> = Vec::new();
     let mut panic_payload = None;
+    // The executor is the one sanctioned owner of raw threads.
+    #[allow(clippy::disallowed_methods)]
     thread::scope(|scope| {
         let handles: Vec<_> = buckets
             .into_iter()

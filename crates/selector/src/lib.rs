@@ -15,10 +15,12 @@
 //!   lazy-greedy (CELF) fast path over coverage bitmasks that provably
 //!   returns the eager scan's exact sequence.
 
-// Panic-freedom: this crate runs in the fleet-facing validation path.
-// The xtask lint enforces the same invariant lexically; this makes the
-// compiler enforce it too (tests may unwrap freely).
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+// Panic-freedom: this crate runs in the fleet-facing validation path, so
+// clippy (`-D warnings` in CI) rejects unwrap/expect/panic outside tests.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod coverage;
 pub mod coxtime;

@@ -122,7 +122,9 @@ impl CriteriaHistory {
                     e.insert(CriteriaCache::new(alpha, centroid)?)
                 }
             };
-            if cache.alpha() != alpha || cache.method() != centroid {
+            // The cache key is the exact alpha the cache was built with, so
+            // compare bit patterns rather than float values.
+            if cache.alpha().to_bits() != alpha.to_bits() || cache.method() != centroid {
                 *cache = CriteriaCache::new(alpha, centroid)?;
             }
             cache.sync(queue.iter());

@@ -1,24 +1,14 @@
-//! Workspace invariant checker.
+//! Workspace tooling behind `cargo xtask` (subcommands in `main.rs`).
 //!
-//! The ANUBIS workspace makes two promises that ordinary compilation does
-//! not verify: every simulation is **deterministic** (all randomness and
-//! time flow from explicit seeds, so paper figures reproduce bit-for-bit)
-//! and the fleet-facing crates are **panic-free** (a validation run on ten
-//! thousand nodes must degrade into `Result`s, not abort). This crate is
-//! the `cargo xtask`-style enforcement tool:
-//!
-//! ```text
-//! cargo run -p anubis-xtask -- lint
-//! ```
-//!
-//! walks every non-vendored `.rs` file and reports `file:line` diagnostics
-//! for four invariants — see [`checks`] for their definitions — exiting
-//! nonzero if any violation is not covered by the checked-in allowlist
-//! (`lint-allowlist.txt` at the workspace root, format in [`allowlist`]).
+//! Each workspace invariant has one enforcer. Clippy holds the
+//! type-resolved ones: the root `clippy.toml` bans wall-clock types and raw
+//! threads, and the gated crates' `lib.rs` headers deny `unwrap`/`expect`/
+//! `panic!`. This crate holds the rest: the call-graph passes of
+//! [`passes`] (A001–A009) behind `analyze`, next to the lifecycle model
+//! checker ([`modelcheck`]), the trace profiler ([`profile`]) and the
+//! perf-regression gate ([`perf`]).
 
-pub mod allowlist;
 pub mod callgraph;
-pub mod checks;
 pub mod dataflow;
 pub mod json;
 pub mod mask;
@@ -30,49 +20,3 @@ pub mod profile;
 pub mod report;
 pub mod spans;
 pub mod walk;
-
-pub use allowlist::Allowlist;
-pub use checks::{check_file, classify, Diagnostic, GATED_CRATES};
-
-use std::fs;
-use std::io;
-use std::path::Path;
-
-/// The result of a lint run: surviving diagnostics plus which allowlist
-/// entries actually exempted something (for stale-entry detection).
-#[derive(Debug)]
-pub struct LintOutcome {
-    /// Diagnostics not covered by the allowlist, sorted by path, line,
-    /// and check.
-    pub diagnostics: Vec<Diagnostic>,
-    /// `used[i]` is `true` when allowlist entry `i` exempted at least one
-    /// diagnostic this run.
-    pub used_entries: Vec<bool>,
-}
-
-/// Lints every workspace `.rs` file under `root`, filtering through
-/// `allowlist`, and returns the surviving diagnostics sorted by path,
-/// line, and check.
-pub fn run_lint(root: &Path, allowlist: &Allowlist) -> io::Result<Vec<Diagnostic>> {
-    run_lint_tracked(root, allowlist).map(|outcome| outcome.diagnostics)
-}
-
-/// [`run_lint`], additionally tracking allowlist entry usage.
-pub fn run_lint_tracked(root: &Path, allowlist: &Allowlist) -> io::Result<LintOutcome> {
-    let mut diagnostics = Vec::new();
-    let mut used_entries = vec![false; allowlist.len()];
-    for relative in walk::rust_files(root)? {
-        let source = fs::read_to_string(root.join(&relative))?;
-        for diagnostic in check_file(&relative, &source) {
-            match allowlist.permit_index(&diagnostic) {
-                Some(index) => used_entries[index] = true,
-                None => diagnostics.push(diagnostic),
-            }
-        }
-    }
-    diagnostics.sort_by(|a, b| (&a.path, a.line, a.check).cmp(&(&b.path, b.line, b.check)));
-    Ok(LintOutcome {
-        diagnostics,
-        used_entries,
-    })
-}

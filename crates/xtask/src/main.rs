@@ -1,9 +1,8 @@
 //! `anubis-xtask` — workspace maintenance commands.
 //!
-//! Five subcommands:
+//! Four subcommands:
 //!
 //! ```text
-//! cargo xtask lint       [--root <dir>] [--allowlist <file>] [--allow-unused-allowlist]
 //! cargo xtask analyze    [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline]
 //!                        [--arena-report]
 //! cargo xtask modelcheck [--out <file>] [--threads <n>]
@@ -13,16 +12,8 @@
 //!                        [--print-baseline]
 //! ```
 //!
-//! `lint` runs the line-level invariant checks of [`anubis_xtask::checks`]
-//! and exits `1` when violations remain after the allowlist (default:
-//! `lint-allowlist.txt` at the workspace root). Stale allowlist entries —
-//! ones that no longer exempt anything — also fail the run so they get
-//! pruned; `--allow-unused-allowlist` tolerates them during refactors
-//! (`--error-on-unused-allowlist` remains accepted as a no-op for older
-//! scripts).
-//!
 //! `analyze` runs the call-graph passes of [`anubis_xtask::passes`]
-//! (A001–A008) and compares the findings against the committed
+//! (A001–A009) and compares the findings against the committed
 //! `analysis-baseline.json`: only *regressions* — new finding keys or
 //! grown counts — fail the build. `--write-baseline` regenerates the
 //! baseline after intentional changes; `--json` writes a SARIF-style
@@ -56,12 +47,10 @@ use anubis_xtask::passes::{run_analysis, AnalysisConfig};
 use anubis_xtask::perf;
 use anubis_xtask::profile::Profile;
 use anubis_xtask::report::{to_sarif, Baseline};
-use anubis_xtask::{run_lint_tracked, Allowlist};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cargo xtask <lint|analyze|modelcheck|profile|perfgate>\n  \
-lint       [--root <dir>] [--allowlist <file>] [--allow-unused-allowlist]\n  \
+const USAGE: &str = "usage: cargo xtask <analyze|modelcheck|profile|perfgate>\n  \
 analyze    [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline] [--arena-report]\n  \
 modelcheck [--out <file>] [--threads <n>] [--bug <forget-risk|validate-busy|ignore-floor>]\n  \
 profile    [<trace.jsonl>] [--top <n>]\n  \
@@ -70,7 +59,6 @@ perfgate   [--root <dir>] [--baseline <file>] [--current <file>] [--out <file>] 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint(&args[1..]),
         Some("analyze") => analyze(&args[1..]),
         Some("modelcheck") => modelcheck(&args[1..]),
         Some("profile") => profile(&args[1..]),
@@ -91,101 +79,6 @@ fn default_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..")
-}
-
-fn lint(args: &[String]) -> ExitCode {
-    let mut root = default_root();
-    let mut allowlist_path: Option<PathBuf> = None;
-    let mut error_on_unused = true;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            // Stale entries fail by default; kept as an accepted no-op so
-            // older scripts and CI configurations don't break.
-            "--error-on-unused-allowlist" => {
-                error_on_unused = true;
-                continue;
-            }
-            "--allow-unused-allowlist" => {
-                error_on_unused = false;
-                continue;
-            }
-            "--root" => match iter.next() {
-                Some(value) => root = PathBuf::from(value),
-                None => return usage_error(flag),
-            },
-            "--allowlist" => match iter.next() {
-                Some(value) => allowlist_path = Some(PathBuf::from(value)),
-                None => return usage_error(flag),
-            },
-            _ => return usage_error(flag),
-        }
-    }
-
-    let allowlist_path = allowlist_path.unwrap_or_else(|| root.join("lint-allowlist.txt"));
-    let allowlist = match std::fs::read_to_string(&allowlist_path) {
-        Ok(text) => match Allowlist::parse(&text) {
-            Ok(list) => list,
-            Err((line, reason)) => {
-                eprintln!(
-                    "{}:{line}: malformed allowlist: {reason}",
-                    allowlist_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        },
-        Err(error) if error.kind() == std::io::ErrorKind::NotFound => Allowlist::empty(),
-        Err(error) => {
-            eprintln!("cannot read {}: {error}", allowlist_path.display());
-            return ExitCode::from(2);
-        }
-    };
-
-    let outcome = match run_lint_tracked(&root, &allowlist) {
-        Ok(outcome) => outcome,
-        Err(error) => {
-            eprintln!("lint failed: {error}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let mut failed = false;
-    if outcome.diagnostics.is_empty() {
-        println!("lint: no violations");
-    } else {
-        for diagnostic in &outcome.diagnostics {
-            println!("{diagnostic}");
-        }
-        println!("lint: {} violation(s)", outcome.diagnostics.len());
-        failed = true;
-    }
-
-    let unused: Vec<usize> = outcome
-        .used_entries
-        .iter()
-        .enumerate()
-        .filter(|(_, used)| !**used)
-        .map(|(index, _)| index)
-        .collect();
-    if !unused.is_empty() {
-        for &index in &unused {
-            println!(
-                "{}: stale allowlist entry `{}` no longer exempts anything",
-                allowlist_path.display(),
-                allowlist.describe(index)
-            );
-        }
-        if error_on_unused {
-            println!("lint: {} stale allowlist entr(ies)", unused.len());
-            failed = true;
-        }
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 fn analyze(args: &[String]) -> ExitCode {

@@ -1,10 +1,10 @@
 //! Comment- and literal-masking lexer.
 //!
-//! The checks in this crate are lexical: they search for forbidden tokens
-//! (`.unwrap()`, `Instant`, float `==`, …). Searching raw source would
+//! The analysis token model ([`crate::model`]) looks for tokens
+//! (`.unwrap()`, float `==`, call sites, …). Tokenizing raw source would
 //! false-positive on every doc comment and string literal that *mentions*
-//! a forbidden construct, so all checks run over a masked copy of the file
-//! in which comments, string/char literals, and raw strings are replaced
+//! a construct, so the model is built over a masked copy of the file in
+//! which comments, string/char literals, and raw strings are replaced
 //! byte-for-byte with spaces. Newlines are preserved, so byte offsets and
 //! line numbers in the masked text match the original exactly.
 
@@ -16,7 +16,7 @@ pub struct MaskedSource {
     /// Byte offset where each line starts (index 0 = line 1).
     line_starts: Vec<usize>,
     /// 1-based lines on which a doc comment (`///`, `//!`, `/**`, `/*!`)
-    /// begins. Used by the doc-coverage check.
+    /// begins. Used by the A009 doc-coverage pass.
     pub doc_lines: Vec<bool>,
 }
 
@@ -32,6 +32,16 @@ impl MaskedSource {
     /// Whether a doc comment begins on 1-based line `line`.
     pub fn is_doc_line(&self, line: usize) -> bool {
         self.doc_lines.get(line - 1).copied().unwrap_or(false)
+    }
+
+    /// The masked bytes of 1-based `line`, without its newline.
+    pub fn line(&self, line: usize) -> &[u8] {
+        let start = self.line_starts[line - 1];
+        let end = self
+            .line_starts
+            .get(line)
+            .map_or(self.masked.len(), |next| next - 1);
+        &self.masked[start..end]
     }
 }
 

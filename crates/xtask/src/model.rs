@@ -26,7 +26,6 @@
 //! pass may report a spurious path but must not miss a real one through
 //! model blindness.
 
-use crate::checks::classify;
 use crate::mask::{mask, MaskedSource};
 use crate::spans::{in_test_span, test_spans, TestSpan};
 use crate::walk;
@@ -58,7 +57,7 @@ pub struct Token {
 }
 
 impl Token {
-    fn is(&self, text: &str) -> bool {
+    pub(crate) fn is(&self, text: &str) -> bool {
         self.text == text
     }
 }
@@ -267,6 +266,23 @@ pub struct SourceFile {
     /// File stem (`stats` for `.../stats.rs`), used as a module-name hint
     /// when resolving qualified calls.
     pub stem: String,
+    /// Whether the file opens with `//!` module docs (read by A009).
+    pub module_doc: bool,
+}
+
+/// Whether `source` opens with `//!` module docs: blank lines, plain
+/// comments and inner attributes may precede them, code may not.
+fn has_module_doc(source: &str) -> bool {
+    for line in source.lines() {
+        let trimmed = line.trim_start();
+        if trimmed.starts_with("//!") {
+            return true;
+        }
+        if !(trimmed.is_empty() || trimmed.starts_with("#![") || trimmed.starts_with("//")) {
+            return false;
+        }
+    }
+    false
 }
 
 /// The scanned workspace: every non-test source file plus every function.
@@ -278,12 +294,12 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Scans every workspace `.rs` file under `root` (the same walk the
-    /// lint performs), skipping files that are entirely test code.
+    /// Scans every workspace `.rs` file under `root` (see [`walk`]),
+    /// skipping files that are entirely test code.
     pub fn scan(root: &Path) -> io::Result<Self> {
         let mut sources = Vec::new();
         for relative in walk::rust_files(root)? {
-            if classify(&relative).is_test_code {
+            if walk::is_test_path(&relative) {
                 continue;
             }
             let text = fs::read_to_string(root.join(&relative))?;
@@ -324,6 +340,7 @@ impl Workspace {
                 tokens,
                 spans,
                 stem,
+                module_doc: has_module_doc(text),
             });
         }
         Self { files, fns }
@@ -937,6 +954,6 @@ mod tests {
         ]);
         // from_sources does not filter paths; scan() does. Emulate here:
         assert_eq!(w.fns.len(), 2);
-        assert!(classify("crates/demo/tests/e2e.rs").is_test_code);
+        assert!(walk::is_test_path("crates/demo/tests/e2e.rs"));
     }
 }

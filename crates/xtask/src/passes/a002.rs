@@ -11,11 +11,14 @@
 //!   or an identifier known to be float-typed (signature param or
 //!   `let x: f64` binding). Sentinel comparisons against exactly `0.0` or
 //!   `1.0` are allowed — the workspace uses them as presence flags.
-//! - `partial-cmp-unwrap`: `partial_cmp(..).unwrap()` sort keys, which
-//!   panic on NaN (and are A001 sources too).
+//! - `partial-cmp-unwrap`: `partial_cmp(..).unwrap()` (or `.expect(..)`)
+//!   sort keys, which panic on NaN (and are A001 sources too).
 //! - `nan-minmax`: `f64::min` / `f64::max` used as a *function value*
 //!   (e.g. `fold(0.0, f64::max)`) — these silently absorb NaN instead of
 //!   propagating it.
+//!
+//! `float-eq` and `partial-cmp-unwrap` are enforced; `nan-minmax` is
+//! baseline-tracked.
 
 use super::Finding;
 use crate::model::{FnItem, Token, TokenKind, Workspace};
@@ -47,14 +50,18 @@ fn scan_fn(ws: &Workspace, item: &FnItem, findings: &mut Vec<Finding>) {
             func: item.qual_name(),
             kind: kind.to_owned(),
             message,
-            enforced: false,
+            enforced: kind != "nan-minmax",
         });
     };
     for (i, token) in ws.body_tokens(item) {
         match token.text.as_str() {
             "==" | "!=" => {
                 let lhs = i.checked_sub(1).and_then(|j| tokens.get(j));
-                let rhs = tokens.get(i + 1);
+                // A unary minus on the right belongs to the literal; a
+                // right operand `x.to_bits()` is an integer, not `x`.
+                let rhs_at = i + 1 + usize::from(tokens.get(i + 1).is_some_and(|t| t.is("-")));
+                let to_bits = tokens.get(rhs_at + 2).is_some_and(|t| t.is("to_bits"));
+                let rhs = tokens.get(rhs_at).filter(|_| !to_bits);
                 // A sentinel on either side exempts the whole comparison:
                 // `x == 0.0` is a deliberate presence flag even when `x`
                 // is float-typed.
@@ -94,7 +101,7 @@ fn scan_fn(ws: &Workspace, item: &FnItem, findings: &mut Vec<Finding>) {
                     "partial-cmp-unwrap",
                     ws.line_of(item, i),
                     format!(
-                        "`partial_cmp().unwrap()` in `{}` panics on NaN; sort with `total_cmp` instead",
+                        "`partial_cmp()` unwrapped in `{}` panics on NaN; sort with `total_cmp` instead",
                         item.qual_name()
                     ),
                 );
@@ -160,7 +167,7 @@ fn is_scalar_float_type(type_text: &str) -> bool {
 }
 
 /// Whether the `partial_cmp` at token `i` is followed (after its argument
-/// list) by `.unwrap()`.
+/// list) by `.unwrap()` or `.expect(..)`.
 fn is_partial_cmp_unwrap(tokens: &[Token], i: usize) -> bool {
     if !tokens.get(i + 1).is_some_and(|t| t.text == "(") {
         return false;
@@ -181,7 +188,9 @@ fn is_partial_cmp_unwrap(tokens: &[Token], i: usize) -> bool {
         j += 1;
     }
     tokens.get(j + 1).is_some_and(|t| t.text == ".")
-        && tokens.get(j + 2).is_some_and(|t| t.text == "unwrap")
+        && tokens
+            .get(j + 2)
+            .is_some_and(|t| t.text == "unwrap" || t.text == "expect")
 }
 
 /// Whether a Number token is a float literal (`0.95`, `1e-6`, `2f64`) and
@@ -247,11 +256,47 @@ mod tests {
     }
 
     #[test]
-    fn partial_cmp_without_unwrap_not_flagged() {
+    fn partial_cmp_expect_flagged() {
         let findings = analyze(
             "pub fn sort(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).expect(\"no nan\")); }\n",
         );
-        assert!(findings.iter().all(|f| f.kind != "partial-cmp-unwrap"));
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].kind, "partial-cmp-unwrap");
+    }
+
+    #[test]
+    fn partial_cmp_without_unwrap_not_flagged() {
+        let findings = analyze(
+            "pub fn cmp(a: &f64, b: &f64) -> Option<std::cmp::Ordering> { a.partial_cmp(b) }\n",
+        );
+        assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn bit_pattern_comparison_not_flagged() {
+        let findings =
+            analyze("pub fn same(a: f64, b: f64) -> bool { a.to_bits() == b.to_bits() }\n");
+        assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn negative_float_literal_flagged() {
+        let findings = analyze("pub fn low(v: &[f64]) -> bool { v[0] == -2.5 }\n");
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].kind, "float-eq");
+    }
+
+    #[test]
+    fn enforced_kinds_are_hard_failures() {
+        let findings = analyze(
+            "pub fn check(x: f64) -> bool { x == 0.95 }\n\
+             pub fn peak(v: &[f64]) -> f64 { v.iter().copied().fold(0.0, f64::max) }\n",
+        );
+        let enforced: Vec<(&str, bool)> = findings
+            .iter()
+            .map(|f| (f.kind.as_str(), f.enforced))
+            .collect();
+        assert_eq!(enforced, vec![("float-eq", true), ("nan-minmax", false)]);
     }
 
     #[test]

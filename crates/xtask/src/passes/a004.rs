@@ -1,9 +1,10 @@
 //! A004 — determinism escapes.
 //!
 //! Paper figures must reproduce bit-for-bit, so results may not depend on
-//! std's randomized hash ordering or on wall-clock time. The PR 1 lint
-//! bans `Instant`/`SystemTime` *textually* in gated crates; this pass is
-//! the graph-aware upgrade:
+//! std's randomized hash ordering. Wall-clock time is clippy's job (the
+//! root `clippy.toml` bans `Instant`/`SystemTime` by type), and A006
+//! traces every nondeterminism source interprocedurally; this pass keeps
+//! the per-function hash check:
 //!
 //! - `hash-iteration`: a function that names `HashMap`/`HashSet` *and*
 //!   iterates (`.iter()`, `.keys()`, `.values()`, `.drain()`,
@@ -11,37 +12,17 @@
 //!   containers is randomized per process; anything it feeds into output
 //!   is nondeterministic. (BTreeMap/BTreeSet are the sanctioned
 //!   replacements.)
-//! - `time-source`: a function using `Instant`/`SystemTime` anywhere in
-//!   the workspace. When the function is reachable from a public API of a
-//!   gated crate the message carries the call path — a wall-clock read
-//!   inside the validation path taints results even when it lives in a
-//!   helper crate the textual lint never looks at. Crates listed in
-//!   [`AnalysisConfig::timing_facades`] (the `anubis-obs` observability
-//!   facade) are exempt: they exist to confine wall-clock access behind a
-//!   feature gate, and flagging them would force an allowlist entry for
-//!   the one sanctioned call site.
 
-use super::{is_gated_public_root, path_string, AnalysisConfig, Finding};
-use crate::callgraph::CallGraph;
+use super::Finding;
 use crate::model::{CallKind, TokenKind, Workspace};
 
 /// Method names that iterate a container.
 const ITERATION_METHODS: &[&str] = &["iter", "keys", "values", "into_iter", "drain", "iter_mut"];
 
 /// Runs the pass.
-pub fn run(ws: &Workspace, graph: &CallGraph, config: &AnalysisConfig) -> Vec<Finding> {
-    // Forward reachability from every gated public API: used to annotate
-    // time-source findings with the path that makes them result-tainting.
-    let roots: Vec<usize> = (0..ws.fns.len())
-        .filter(|&i| is_gated_public_root(ws, i, config))
-        .collect();
-    let reach = graph.reach(&roots);
-
+pub fn run(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for (index, item) in ws.fns.iter().enumerate() {
-        if item.in_test {
-            continue;
-        }
+    for item in ws.fns.iter().filter(|item| !item.in_test) {
         let file_path = &ws.files[item.file].path;
 
         // hash-iteration: the type must be named in this function and some
@@ -81,46 +62,6 @@ pub fn run(ws: &Workspace, graph: &CallGraph, config: &AnalysisConfig) -> Vec<Fi
                 enforced: false,
             });
         }
-
-        // time-source: Instant/SystemTime anywhere outside the sanctioned
-        // timing facade, path-annotated when a gated public API reaches
-        // this function.
-        let in_facade = config
-            .timing_facades
-            .iter()
-            .any(|c| *c == ws.files[item.file].crate_name);
-        if in_facade {
-            continue;
-        }
-        for (i, token) in ws.body_tokens(item) {
-            if token.kind == TokenKind::Ident
-                && (token.text == "Instant" || token.text == "SystemTime")
-            {
-                let mut message = format!(
-                    "`{}` reads the wall clock via `{}`",
-                    item.qual_name(),
-                    token.text
-                );
-                if reach.dist[index] != usize::MAX {
-                    let mut path = reach.path_from(index);
-                    path.reverse();
-                    message.push_str(&format!(
-                        "; reachable from public API via {}",
-                        path_string(ws, &path)
-                    ));
-                }
-                findings.push(Finding {
-                    code: "A004",
-                    path: file_path.clone(),
-                    line: ws.line_of(item, i),
-                    func: item.qual_name(),
-                    kind: "time-source".to_owned(),
-                    message,
-                    enforced: false,
-                });
-                break; // One time-source finding per function.
-            }
-        }
     }
     findings
 }
@@ -128,13 +69,10 @@ pub fn run(ws: &Workspace, graph: &CallGraph, config: &AnalysisConfig) -> Vec<Fi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
     use crate::model::Workspace;
 
     fn analyze(files: &[(&str, &str)]) -> Vec<Finding> {
-        let ws = Workspace::from_sources(files.iter().copied());
-        let graph = CallGraph::build(&ws);
-        run(&ws, &graph, &AnalysisConfig::default())
+        run(&Workspace::from_sources(files.iter().copied()))
     }
 
     #[test]
@@ -156,54 +94,5 @@ mod tests {
              pub fn get(m: &HashMap<String, u32>, k: &str) -> Option<u32> { m.get(k).copied() }\n",
         )]);
         assert!(findings.is_empty());
-    }
-
-    #[test]
-    fn time_source_in_helper_crate_annotated_with_path() {
-        let findings = analyze(&[
-            (
-                "crates/validator/src/lib.rs",
-                "pub fn validate() { anubis_metrics_stamp(); }\n",
-            ),
-            (
-                "crates/metrics/src/lib.rs",
-                "use std::time::Instant;\n\
-                 pub fn anubis_metrics_stamp() { let _t = Instant::now(); }\n",
-            ),
-        ]);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].kind, "time-source");
-        assert!(findings[0]
-            .message
-            .contains("validate -> anubis_metrics_stamp"));
-    }
-
-    #[test]
-    fn unreachable_time_source_still_flagged_without_path() {
-        let findings = analyze(&[(
-            "crates/bench/src/bin/repro.rs",
-            "use std::time::Instant;\nfn stamp() { let _t = Instant::now(); }\n",
-        )]);
-        assert_eq!(findings.len(), 1);
-        assert!(!findings[0].message.contains("reachable from public API"));
-    }
-
-    #[test]
-    fn timing_facade_crate_is_exempt() {
-        let findings = analyze(&[
-            (
-                "crates/obs/src/wall.rs",
-                "use std::time::Instant;\n\
-                 pub fn elapsed() { let _t = Instant::now(); }\n",
-            ),
-            (
-                "crates/metrics/src/lib.rs",
-                "use std::time::Instant;\n\
-                 pub fn stamp() { let _t = Instant::now(); }\n",
-            ),
-        ]);
-        // Only the non-facade crate is flagged.
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].path, "crates/metrics/src/lib.rs");
     }
 }

@@ -9,11 +9,12 @@
 //! | A001 | [`a001`] | Which public fleet-facing APIs can transitively panic? |
 //! | A002 | [`a002`] | Where are floats compared or ordered NaN-unsafely? |
 //! | A003 | [`a003`] | What allocates inside the measured hot paths? |
-//! | A004 | [`a004`] | Where can nondeterminism leak into results? |
+//! | A004 | [`a004`] | Which functions iterate a std hash container? |
 //! | A005 | [`a005`] | Who constructs or mutates a lifecycle state outside the machine? |
 //! | A006 | [`a006`] | Which deterministic roots can transitively reach a nondeterminism source? |
 //! | A007 | [`a007`] | Which `anubis-parallel` closures break the executor's determinism contract? |
 //! | A008 | [`a008`] | Which hot-path allocations are scope-local (arena-able), and do arena-clean functions stay clean? |
+//! | A009 | [`a009`] | Does every `src/` module and public item carry docs? |
 //!
 //! A003/A006/A007/A008 consume the interprocedural effect summaries of
 //! [`crate::dataflow`]; the others scan per-function.
@@ -22,10 +23,9 @@
 //! by line — so the committed baseline survives unrelated edits to the
 //! same file. Identical keys are aggregated by count in the baseline.
 //!
-//! Findings reachable from an *enforced* hot entry
-//! ([`HotEntry::enforced`]) are marked [`Finding::enforced`]; those are
-//! hard failures — the baseline never absorbs them (see
-//! [`crate::report::Baseline::from_findings`]).
+//! [`Finding::enforced`] findings are hard failures the baseline never
+//! absorbs: A003 reach from an [`HotEntry::enforced`] entry, A002
+//! `float-eq`/`partial-cmp-unwrap`, and every A008 and A009 finding.
 
 pub mod a001;
 pub mod a002;
@@ -35,17 +35,30 @@ pub mod a005;
 pub mod a006;
 pub mod a007;
 pub mod a008;
+pub mod a009;
 
 use crate::callgraph::CallGraph;
-use crate::checks::GATED_CRATES;
 use crate::dataflow::Summaries;
 use crate::model::Workspace;
 use std::fmt;
 
+/// Crates on the fleet validation path: the A001/A005 roots, each with
+/// the clippy `unwrap_used`/`expect_used`/`panic` header in its `lib.rs`.
+pub const GATED_CRATES: &[&str] = &[
+    "arena",
+    "benchsuite",
+    "validator",
+    "selector",
+    "cluster",
+    "hwsim",
+    "netsim",
+    "lifecycle",
+];
+
 /// One analysis finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable diagnostic code (`A001`…`A004`).
+    /// Stable diagnostic code (`A001`…`A009`).
     pub code: &'static str,
     /// Workspace-relative file of the flagged function.
     pub path: String,
@@ -54,13 +67,13 @@ pub struct Finding {
     /// Qualified name of the flagged function (`Type::name` or `name`).
     pub func: String,
     /// Short machine-readable slug for the finding flavor
-    /// (`panic-reach`, `float-eq`, `clone`, `time-source`, …).
+    /// (`panic-reach`, `float-eq`, `clone`, `doc-coverage`, …).
     pub kind: String,
     /// Human-readable explanation, including the call path where the pass
     /// computes one.
     pub message: String,
-    /// `true` when the finding sits on an enforced hot entry's reach: it
-    /// is a hard failure the baseline never absorbs.
+    /// `true` for a hard failure the baseline never absorbs (see the
+    /// module docs for which findings are enforced).
     pub enforced: bool,
 }
 
@@ -122,14 +135,14 @@ impl HotEntry {
 /// the real workspace; fixtures construct custom configs.
 #[derive(Debug, Clone)]
 pub struct AnalysisConfig {
-    /// Crate directory names whose public APIs are A001/A004 roots.
+    /// Crate directory names whose public APIs are A001/A005 roots.
     pub gated_crates: Vec<String>,
     /// Hot entry points for A003.
     pub hot_entries: Vec<HotEntry>,
     /// Crate directory names sanctioned to read the wall clock — the
     /// observability facade (`anubis-obs`, which confines `Instant` to a
-    /// feature-gated module). A004's time-source scan skips these; every
-    /// other crate must go through the facade.
+    /// feature-gated module). A006 records no time-source taint in them;
+    /// everywhere else `Instant`/`SystemTime` is a taint source.
     pub timing_facades: Vec<String>,
     /// Crate directory names that own the node-lifecycle state machine.
     /// A005 exempts them; everywhere else, constructing or mutating a
@@ -271,7 +284,7 @@ impl AnalysisConfig {
     }
 }
 
-/// Runs all eight passes and returns findings sorted by (code, path,
+/// Runs all nine passes and returns findings sorted by (code, path,
 /// line, kind, func) — a deterministic order suitable for diffing. The
 /// call graph and the interprocedural summaries are computed once and
 /// shared by every summary-consuming pass.
@@ -281,11 +294,12 @@ pub fn run_analysis(ws: &Workspace, config: &AnalysisConfig) -> Vec<Finding> {
     let mut findings = a001::run(ws, &graph, config);
     findings.extend(a002::run(ws));
     findings.extend(a003::run(ws, &graph, &summaries, config));
-    findings.extend(a004::run(ws, &graph, config));
+    findings.extend(a004::run(ws));
     findings.extend(a005::run(ws, &graph, config));
     findings.extend(a006::run(ws, &graph, &summaries, config));
     findings.extend(a007::run(ws, &graph, &summaries, config));
     findings.extend(a008::run(ws, &graph, &summaries, config));
+    findings.extend(a009::run(ws));
     findings.sort_by(|a, b| {
         (a.code, &a.path, a.line, &a.kind, &a.func)
             .cmp(&(b.code, &b.path, b.line, &b.kind, &b.func))

@@ -198,7 +198,7 @@ const RULES: &[(&str, &str)] = &[
     ),
     ("A002", "NaN-unsafe float comparison or ordering"),
     ("A003", "Allocation reachable from a hot entry point"),
-    ("A004", "Nondeterminism can leak into results"),
+    ("A004", "Std hash-container iteration can leak into results"),
     (
         "A005",
         "Lifecycle state constructed or mutated outside the transition function",
@@ -215,6 +215,7 @@ const RULES: &[(&str, &str)] = &[
         "A008",
         "Direct allocation in an arena-clean function bypasses anubis-arena",
     ),
+    ("A009", "Source module or public item lacks a doc comment"),
 ];
 
 /// Renders findings as a SARIF-like report. Baselined findings carry

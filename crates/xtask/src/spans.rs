@@ -1,7 +1,7 @@
 //! `#[cfg(test)]` span detection.
 //!
-//! The determinism and panic-freedom invariants apply to production code
-//! only; anything compiled exclusively under `cfg(test)` is exempt. This
+//! The analysis passes apply to production code only; anything compiled
+//! exclusively under `cfg(test)` is exempt. This
 //! module locates every `#[cfg(test)]` attribute in a masked source and
 //! resolves the byte span of the item it gates (usually `mod tests { … }`)
 //! by brace matching — safe because the input is masked, so no brace inside

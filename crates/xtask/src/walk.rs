@@ -4,10 +4,16 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Directory names the lint never descends into: build output, vendored
+/// Directory names the walk never descends into: build output, vendored
 /// dependency stand-ins (which keep their own lint configuration), VCS
-/// metadata, and lint-test fixtures (which violate invariants on purpose).
+/// metadata, and test fixtures (which violate invariants on purpose).
 const SKIPPED_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
+
+/// Whether a workspace-relative path is test code (under `tests/` or
+/// `benches/`), which the analysis never scans.
+pub fn is_test_path(rel_path: &str) -> bool {
+    rel_path.split('/').any(|c| c == "tests" || c == "benches")
+}
 
 /// Collects every `.rs` file under `root`, skipping [`SKIPPED_DIRS`],
 /// returned as workspace-relative forward-slash paths in sorted order so
@@ -58,5 +64,13 @@ mod tests {
         let mut sorted = files.clone();
         sorted.sort();
         assert_eq!(files, sorted, "walker output must be sorted");
+    }
+
+    #[test]
+    fn test_paths_are_recognized() {
+        assert!(is_test_path("crates/hwsim/tests/integration.rs"));
+        assert!(is_test_path("crates/bench/benches/micro.rs"));
+        assert!(!is_test_path("crates/hwsim/src/node.rs"));
+        assert!(!is_test_path("src/lib.rs"));
     }
 }

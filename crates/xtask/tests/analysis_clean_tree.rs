@@ -1,7 +1,8 @@
 //! The committed `analysis-baseline.json` must exactly match what the
 //! analysis reports on the current tree: no unrecorded findings (a
-//! regression CI would reject) and no stale keys (fixed findings must be
-//! removed from the baseline via `--write-baseline`).
+//! regression CI would reject), no stale keys (fixed findings must be
+//! removed from the baseline via `--write-baseline`), and no enforced
+//! findings, which no baseline can absorb.
 
 use anubis_xtask::model::Workspace;
 use anubis_xtask::passes::{run_analysis, AnalysisConfig};
@@ -17,6 +18,16 @@ fn workspace_matches_committed_analysis_baseline() {
         .expect("workspace root");
     let ws = Workspace::scan(&root).expect("scan workspace");
     let findings = run_analysis(&ws, &AnalysisConfig::default());
+    let enforced: Vec<String> = findings
+        .iter()
+        .filter(|f| f.enforced)
+        .map(ToString::to_string)
+        .collect();
+    assert!(
+        enforced.is_empty(),
+        "enforced findings:\n{}",
+        enforced.join("\n")
+    );
     let current = Baseline::from_findings(&findings);
 
     let text = fs::read_to_string(root.join("analysis-baseline.json")).expect("read baseline");

@@ -20,7 +20,9 @@ fn ws(source: &str) -> Workspace {
 fn raw_strings_full_of_code_are_inert() {
     // The raw string contains a function declaration, an env read, and an
     // unbalanced close brace; none of it may leak into the model.
-    let source = "pub fn render() -> String {\n\
+    let source = "//! Fixture.\n\
+                  /// Renders.\n\
+                  pub fn render() -> String {\n\
                       let t = r#\"fn fake() { std::env::var(\"HOME\"); } }\"#;\n\
                       t.to_owned()\n\
                   }\n";
