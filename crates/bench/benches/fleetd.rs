@@ -1,5 +1,6 @@
 //! Criterion kernels for the fleetd service loop, enforced by
-//! `cargo xtask perfgate` (`fleetd/tick`, `fleetd/merge`).
+//! `cargo xtask perfgate` (`fleetd/tick`, `fleetd/merge`,
+//! `fleetd/criteria`).
 
 use anubis_fleetd::{Coordinator, FleetdConfig};
 use anubis_metrics::EcdfSketch;
@@ -35,10 +36,10 @@ fn bench_tick(c: &mut Criterion) {
     });
 }
 
-fn bench_merge(c: &mut Criterion) {
-    // 16 shard sketches of ~4096 validation scores each — the shape of a
-    // periodic criteria refresh on a large fleet.
-    let sketches: Vec<EcdfSketch> = (0..16u64)
+/// 16 shard sketches of 4096 validation scores each — the shape of a
+/// periodic criteria refresh on a large fleet.
+fn shard_sketches() -> Vec<EcdfSketch> {
+    (0..16u64)
         .map(|s| {
             let mut sketch = EcdfSketch::new();
             for i in 0..4096u64 {
@@ -47,11 +48,24 @@ fn bench_merge(c: &mut Criterion) {
             }
             sketch
         })
-        .collect();
+        .collect()
+}
+
+fn bench_merge(c: &mut Criterion) {
+    let sketches = shard_sketches();
     c.bench_function("fleetd/merge/16x4096", |bencher| {
         bencher.iter(|| black_box(EcdfSketch::merged(black_box(&sketches))));
     });
 }
 
-criterion_group!(benches, bench_tick, bench_merge);
+fn bench_criteria(c: &mut Criterion) {
+    // The coordinator's refresh: rank selection over the same shard
+    // sketches, no merged sketch built.
+    let sketches = shard_sketches();
+    c.bench_function("fleetd/criteria/16x4096", |bencher| {
+        bencher.iter(|| black_box(EcdfSketch::quantile_of(black_box(&sketches), 0.05)));
+    });
+}
+
+criterion_group!(benches, bench_tick, bench_merge, bench_criteria);
 criterion_main!(benches);

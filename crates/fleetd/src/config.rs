@@ -59,10 +59,10 @@ pub struct FleetdConfig {
     /// Largest degradation fraction an incident can leave.
     pub damage_max: f64,
 
-    /// Shard-sketch merge / criteria-refresh period, in ticks.
+    /// Criteria-refresh period, in ticks (at least 1).
     pub merge_every_ticks: u32,
     /// Defect criteria quantile: a validation score below this quantile
-    /// of the merged fleet distribution confirms a defect.
+    /// of the fleet-wide score distribution confirms a defect.
     pub defect_quantile: f64,
     /// Fleet samples required before criteria are applied (build-out
     /// phase passes everything).
@@ -128,6 +128,17 @@ pub enum FleetdConfigError {
     TickHours(f64),
     /// `defect_quantile` is outside `[0, 1]`.
     DefectQuantile(f64),
+    /// `damage_probability` is outside `[0, 1]`.
+    DamageProbability(f64),
+    /// `damage_min..damage_max` is empty or not finite.
+    DamageRange {
+        /// Requested lower end.
+        min: f64,
+        /// Requested upper end.
+        max: f64,
+    },
+    /// `merge_every_ticks` is zero.
+    NoMergePeriod,
 }
 
 impl fmt::Display for FleetdConfigError {
@@ -141,6 +152,14 @@ impl fmt::Display for FleetdConfigError {
             Self::NoTicks => write!(f, "ticks must be at least 1"),
             Self::TickHours(h) => write!(f, "tick_hours must be finite and positive, got {h}"),
             Self::DefectQuantile(q) => write!(f, "defect_quantile must be in [0, 1], got {q}"),
+            Self::DamageProbability(p) => {
+                write!(f, "damage_probability must be in [0, 1], got {p}")
+            }
+            Self::DamageRange { min, max } => write!(
+                f,
+                "damage_min ({min}) must be finite and below a finite damage_max ({max})"
+            ),
+            Self::NoMergePeriod => write!(f, "merge_every_ticks must be at least 1"),
         }
     }
 }
@@ -149,8 +168,10 @@ impl std::error::Error for FleetdConfigError {}
 
 impl FleetdConfig {
     /// Rejects configurations that would otherwise be silently clamped
-    /// (shard counts), run to an empty result (zero nodes or ticks), or
-    /// break the tick arithmetic (`tick_hours`, `defect_quantile`).
+    /// (shard counts), run to an empty result (zero nodes or ticks), break
+    /// the tick arithmetic (`tick_hours`, `defect_quantile`,
+    /// `merge_every_ticks`), or panic the shard's damage draw
+    /// (`damage_probability`, `damage_min..damage_max`).
     pub fn validate(&self) -> Result<(), FleetdConfigError> {
         if self.nodes == 0 {
             return Err(FleetdConfigError::NoNodes);
@@ -172,6 +193,23 @@ impl FleetdConfig {
         }
         if !(0.0..=1.0).contains(&self.defect_quantile) {
             return Err(FleetdConfigError::DefectQuantile(self.defect_quantile));
+        }
+        if !(0.0..=1.0).contains(&self.damage_probability) {
+            return Err(FleetdConfigError::DamageProbability(
+                self.damage_probability,
+            ));
+        }
+        if !(self.damage_min.is_finite()
+            && self.damage_max.is_finite()
+            && self.damage_min < self.damage_max)
+        {
+            return Err(FleetdConfigError::DamageRange {
+                min: self.damage_min,
+                max: self.damage_max,
+            });
+        }
+        if self.merge_every_ticks == 0 {
+            return Err(FleetdConfigError::NoMergePeriod);
         }
         Ok(())
     }
@@ -284,5 +322,43 @@ mod tests {
             rejected(|c| c.defect_quantile = f64::NAN),
             FleetdConfigError::DefectQuantile(q) if q.is_nan()
         ));
+    }
+
+    #[test]
+    fn damage_probability_outside_unit_interval_rejected() {
+        for p in [-0.1, 1.01] {
+            assert_eq!(
+                rejected(|c| c.damage_probability = p),
+                FleetdConfigError::DamageProbability(p)
+            );
+        }
+        assert!(matches!(
+            rejected(|c| c.damage_probability = f64::NAN),
+            FleetdConfigError::DamageProbability(p) if p.is_nan()
+        ));
+    }
+
+    #[test]
+    fn empty_or_non_finite_damage_range_rejected() {
+        for (min, max) in [(0.2, 0.2), (0.3, 0.1), (0.05, f64::INFINITY)] {
+            assert_eq!(
+                rejected(|c| {
+                    c.damage_min = min;
+                    c.damage_max = max;
+                }),
+                FleetdConfigError::DamageRange { min, max }
+            );
+        }
+        assert!(matches!(
+            rejected(|c| c.damage_min = f64::NAN),
+            FleetdConfigError::DamageRange { min, .. } if min.is_nan()
+        ));
+    }
+
+    #[test]
+    fn zero_merge_period_rejected() {
+        let error = rejected(|c| c.merge_every_ticks = 0);
+        assert_eq!(error, FleetdConfigError::NoMergePeriod);
+        assert_eq!(error.to_string(), "merge_every_ticks must be at least 1");
     }
 }

@@ -17,9 +17,15 @@
 //!    the victim's job and enqueue a repair,
 //! 6. start validations on suspect nodes, ascending, up to the per-tick
 //!    budget, and
-//! 7. periodically merge the shard sketches
-//!    ([`anubis_metrics::EcdfSketch::merged`]) and refresh the defect
-//!    criteria from the merged quantile.
+//! 7. periodically refresh the defect criteria: the fleet-wide
+//!    `defect_quantile` of every shard sketch's samples, selected by rank
+//!    straight from the shards' sorted runs
+//!    ([`anubis_metrics::EcdfSketch::quantile_of`]) — no merged sketch is
+//!    built, so the refresh never re-reads the sample history.
+//!
+//! Jobs live in a slab whose slots are recycled, so the job table is
+//! bounded by the peak number of outstanding jobs, not by how many jobs
+//! the run has placed.
 //!
 //! Because shard ranges are contiguous and ascending, "shard order" in
 //! step 5 equals global node order — which is why the service's output is
@@ -37,10 +43,12 @@ use std::fmt::Write as _;
 /// Sentinel for "node serves no job" in the node→job map.
 const NO_JOB: u32 = u32::MAX;
 
-/// An active (or finished) customer job.
+/// One slot of the job slab: a live job, or a killed one whose due entry
+/// has not come up yet. A slot is released only when its due entry is
+/// consumed, so no stale due entry can ever name a reused slot.
 #[derive(Debug, Clone)]
 struct Job {
-    /// Nodes the job occupies, ascending.
+    /// Nodes the job occupies, ascending. Reused slots keep the capacity.
     nodes: Vec<u32>,
     /// Cleared when the job completes or is killed by a quarantine.
     alive: bool,
@@ -217,14 +225,17 @@ pub struct Coordinator {
     shards: Vec<ShardWorker>,
     alloc: AllocationStream,
     pending: VecDeque<JobArrival>,
+    /// The job slab, indexed by job id; `free_slots` holds released ids.
     jobs: Vec<Job>,
+    free_slots: Vec<u32>,
     job_of: Vec<u32>,
     due: BTreeMap<u32, Vec<u32>>,
     repair_queue: VecDeque<(u32, u32)>,
     criteria_threshold: Option<f64>,
     tick: u32,
     totals: FleetSummary,
-    // Persistent scratch (steady state allocates only for new jobs).
+    // Persistent scratch (steady state allocates only for new due ticks
+    // and slab growth).
     repaired_now: Vec<u32>,
     arrivals: Vec<JobArrival>,
     free: Vec<u32>,
@@ -252,6 +263,7 @@ impl Coordinator {
             alloc,
             pending: VecDeque::new(),
             jobs: Vec::new(),
+            free_slots: Vec::new(),
             job_of: vec![NO_JOB; cfg.nodes as usize],
             due: BTreeMap::new(),
             repair_queue: VecDeque::new(),
@@ -300,6 +312,18 @@ impl Coordinator {
         self.tick
     }
 
+    /// Slots in the job slab: the peak of [`Coordinator::outstanding_jobs`]
+    /// so far, never the number of jobs ever placed.
+    pub fn job_slots(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// Jobs holding a slab slot: live jobs plus killed ones whose due tick
+    /// has not come yet.
+    pub fn outstanding_jobs(&self) -> usize {
+        self.jobs.len() - self.free_slots.len()
+    }
+
     /// Executes one tick and returns its summary.
     #[allow(clippy::too_many_lines)]
     pub fn step(&mut self) -> TickSummary {
@@ -331,10 +355,12 @@ impl Coordinator {
         }
         self.repaired_now.sort_unstable();
 
-        // 2. Jobs whose duration elapsed.
+        // 2. Jobs whose duration elapsed. Consuming a due entry releases
+        // its slot, whether the job completes now or was killed earlier.
         let mut jobs_completed = 0usize;
         if let Some(due_jobs) = self.due.remove(&tick) {
             for job_id in due_jobs {
+                self.free_slots.push(job_id);
                 let job = &mut self.jobs[job_id as usize];
                 if !job.alive {
                     continue;
@@ -384,17 +410,26 @@ impl Coordinator {
                 Some(a) => a,
                 None => break,
             };
-            let job_id = self.jobs.len() as u32;
+            let job_id = match self.free_slots.pop() {
+                Some(slot) => slot,
+                None => {
+                    self.jobs.push(Job {
+                        nodes: Vec::new(),
+                        alive: false,
+                    });
+                    (self.jobs.len() - 1) as u32
+                }
+            };
             let members = &self.free[next_free..next_free + want];
             for &node in members {
                 self.table
                     .apply_if_legal(node as usize, LifecycleEvent::JobAssigned);
                 self.job_of[node as usize] = job_id;
             }
-            self.jobs.push(Job {
-                nodes: members.to_vec(),
-                alive: true,
-            });
+            let job = &mut self.jobs[job_id as usize];
+            job.nodes.clear();
+            job.nodes.extend_from_slice(members);
+            job.alive = true;
             let duration_ticks =
                 ((arrival.duration_hours / self.cfg.tick_hours).ceil() as u32).max(1);
             self.due
@@ -448,12 +483,12 @@ impl Coordinator {
                             jobs_killed += 1;
                         }
                         self.repair_queue
-                            .push_back((tick + self.cfg.repair_ticks, node));
+                            .push_back((tick.saturating_add(self.cfg.repair_ticks), node));
                     }
                     LifecycleEvent::DefectConfirmed => {
                         defects_confirmed += 1;
                         self.repair_queue
-                            .push_back((tick + self.cfg.repair_ticks, node));
+                            .push_back((tick.saturating_add(self.cfg.repair_ticks), node));
                     }
                     _ => {}
                 }
@@ -477,12 +512,14 @@ impl Coordinator {
             }
         }
 
-        // 7. Periodic criteria refresh from the merged fleet sketch.
-        if (tick + 1).is_multiple_of(self.cfg.merge_every_ticks.max(1)) {
+        // 7. Periodic criteria refresh by rank selection over the shard
+        // sketches (a zero period, rejected by `validate`, never refreshes).
+        if (tick + 1).is_multiple_of(self.cfg.merge_every_ticks) {
             let _merge = anubis_obs::span!("fleetd.merge");
-            let merged = EcdfSketch::merged(self.shards.iter().map(ShardWorker::sketch));
-            if merged.len() >= self.cfg.min_criteria_samples {
-                self.criteria_threshold = Some(merged.quantile(self.cfg.defect_quantile));
+            let samples: usize = self.shards.iter().map(|s| s.sketch().len()).sum();
+            if samples >= self.cfg.min_criteria_samples {
+                self.criteria_threshold =
+                    EcdfSketch::quantile_of(&self.shards, self.cfg.defect_quantile);
             }
         }
 
@@ -533,7 +570,8 @@ impl Coordinator {
 
     /// Kills the job occupying `node` (the node itself was just
     /// quarantined): surviving members return to healthy, the job's due
-    /// entry is left to lapse. Returns whether a live job was killed.
+    /// entry is left to lapse and releases the slot when consumed.
+    /// Returns whether a live job was killed.
     fn kill_job_of(&mut self, node: u32) -> bool {
         let job_id = self.job_of[node as usize];
         self.job_of[node as usize] = NO_JOB;

@@ -17,10 +17,12 @@
 //!   mutates decision state. Its `tick` is A008 arena-clean.
 //! - [`Coordinator`] ([`coordinator`]) — owns the decisions: the
 //!   [`anubis_lifecycle::LifecycleTable`], job placement, validation
-//!   budget, repair pipeline, and criteria refresh via
-//!   [`anubis_metrics::EcdfSketch::merged`]. Shards run in parallel on
-//!   `anubis-parallel`; their proposals are applied in fixed shard order,
-//!   so summaries and JSONL traces are byte-identical across
+//!   budget, repair pipeline, and criteria refresh by rank selection over
+//!   the shard sketches ([`anubis_metrics::EcdfSketch::quantile_of`]).
+//!   Per-tick work and memory do not grow with the run's length: no
+//!   merged sketch is built and job slots are recycled. Shards run in
+//!   parallel on `anubis-parallel`; their proposals are applied in fixed
+//!   shard order, so summaries and JSONL traces are byte-identical across
 //!   `ANUBIS_THREADS` *and* across shard counts.
 //!
 //! ```

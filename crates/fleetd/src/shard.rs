@@ -272,6 +272,15 @@ impl ShardWorker {
     }
 }
 
+/// A shard reads as its validation-score sketch, so the coordinator can
+/// select the fleet quantile straight from the shard list
+/// ([`EcdfSketch::quantile_of`]).
+impl AsRef<EcdfSketch> for ShardWorker {
+    fn as_ref(&self) -> &EcdfSketch {
+        &self.sketch
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

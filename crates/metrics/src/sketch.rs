@@ -41,7 +41,7 @@ use crate::sample::Sample;
 ///
 /// let batch = Ecdf::new(&Sample::new(vec![1.0, 2.0, 2.0, 4.0]).unwrap());
 /// assert_eq!(shard_a.eval(2.0), batch.eval(2.0));
-/// assert_eq!(shard_a.quantile(0.5), batch.quantile(0.5));
+/// assert_eq!(shard_a.quantile(0.5), Some(batch.quantile(0.5)));
 /// assert_eq!(shard_a.to_ecdf(), batch);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -145,7 +145,7 @@ impl EcdfSketch {
     /// b.extend([2.0]);
     /// let fleet = EcdfSketch::merged([&a, &b]);
     /// assert_eq!(fleet.len(), 3);
-    /// assert_eq!(fleet.quantile(0.5), 2.0);
+    /// assert_eq!(fleet.quantile(0.5), Some(2.0));
     /// ```
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a EcdfSketch>) -> EcdfSketch {
         let mut runs: Vec<Vec<f64>> = parts
@@ -189,14 +189,66 @@ impl EcdfSketch {
 
     /// The quantile function, bit-identical to [`Ecdf::quantile`] on the
     /// same multiset: both return the `k`-th smallest value for the same
-    /// `k`, and order statistics are a multiset property.
-    pub fn quantile(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        if p == 0.0 {
-            return self.min();
+    /// `k`, and order statistics are a multiset property. `None` for an
+    /// empty sketch. See [`EcdfSketch::quantile_of`].
+    pub fn quantile(&self, p: f64) -> Option<f64> {
+        Self::quantile_of(std::slice::from_ref(self), p)
+    }
+
+    /// The `p`-quantile of the union of `parts` (sketches, or anything
+    /// holding one), read straight off their sorted runs without merging
+    /// them: bit-identical to `EcdfSketch::merged(parts).quantile(p)`,
+    /// with no allocation. `None` when every part is empty.
+    ///
+    /// The answer is the `k`-th smallest value in [`f64::total_cmp`]
+    /// order, `k = ceil(p·n)` clamped to `1..=n` (the rank
+    /// [`Ecdf::quantile`] uses). It is found by bisecting over the
+    /// order-preserving `u64` image of the total order, counting the
+    /// values at or below each probe with one `partition_point` per run:
+    /// at most 64 steps of `O(runs · log run)` each, independent of how
+    /// many samples the parts hold.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use anubis_metrics::EcdfSketch;
+    ///
+    /// let mut a = EcdfSketch::new();
+    /// a.extend([3.0, 1.0]);
+    /// let mut b = EcdfSketch::new();
+    /// b.extend([2.0]);
+    /// assert_eq!(EcdfSketch::quantile_of(&[a, b], 0.5), Some(2.0));
+    /// assert_eq!(EcdfSketch::quantile_of::<EcdfSketch>(&[], 0.5), None);
+    /// ```
+    pub fn quantile_of<S: AsRef<EcdfSketch>>(parts: &[S], p: f64) -> Option<f64> {
+        let mut n = 0usize;
+        for part in parts {
+            n += part.as_ref().len;
         }
-        let k = ((p * self.len as f64).ceil() as usize).clamp(1, self.len);
-        self.kth_smallest(k)
+        if n == 0 {
+            return None;
+        }
+        let k = ((p.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+        // Smallest key whose count of values at or below it reaches `k`.
+        // The count only steps up at sample keys, so that key is the
+        // `k`-th smallest sample's. Unsigned bounds: the midpoint of the
+        // full range never overflows.
+        let (mut lo, mut hi) = (0u64, u64::MAX);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let mut at_or_below = 0usize;
+            for part in parts {
+                for run in &part.as_ref().runs {
+                    at_or_below += run.partition_point(|&v| order_key(v) <= mid);
+                }
+            }
+            if at_or_below >= k {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(from_order_key(lo))
     }
 
     /// Smallest appended value.
@@ -223,35 +275,6 @@ impl EcdfSketch {
             }
         }
         best
-    }
-
-    /// The `k`-th smallest value (1-based) in total order, found by a
-    /// `k`-way pointer walk over the sorted runs.
-    fn kth_smallest(&self, k: usize) -> f64 {
-        debug_assert!(k >= 1 && k <= self.len);
-        let mut cursors = vec![0usize; self.runs.len()];
-        let mut current = f64::NAN;
-        for _ in 0..k {
-            let mut best: Option<usize> = None;
-            for (r, run) in self.runs.iter().enumerate() {
-                let Some(&candidate) = run.get(cursors[r]) else {
-                    continue;
-                };
-                let better = match best {
-                    None => true,
-                    Some(b) => candidate.total_cmp(&self.runs[b][cursors[b]]).is_lt(),
-                };
-                if better {
-                    best = Some(r);
-                }
-            }
-            let Some(r) = best else {
-                break;
-            };
-            current = self.runs[r][cursors[r]];
-            cursors[r] += 1;
-        }
-        current
     }
 
     /// Collapses all runs into one ascending vector. Run lengths are
@@ -281,6 +304,33 @@ impl EcdfSketch {
         points.dedup();
         points
     }
+}
+
+impl AsRef<EcdfSketch> for EcdfSketch {
+    fn as_ref(&self) -> &EcdfSketch {
+        self
+    }
+}
+
+/// Maps `x` to a `u64` whose unsigned order is [`f64::total_cmp`]'s:
+/// negative values have every bit flipped, the rest only the sign bit.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    let bits = if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    };
+    f64::from_bits(bits)
 }
 
 /// Linear merge of two runs each sorted by [`f64::total_cmp`]; ties take
@@ -321,7 +371,7 @@ mod tests {
             assert_eq!(sketch.eval(x), batch.eval(x));
         }
         for p in [0.0, 0.1, 0.5, 0.99, 1.0] {
-            assert_eq!(sketch.quantile(p), batch.quantile(p));
+            assert_eq!(sketch.quantile(p), Some(batch.quantile(p)));
         }
         assert_eq!(sketch.min(), batch.min());
         assert_eq!(sketch.max(), batch.max());
@@ -390,6 +440,14 @@ mod tests {
             }
         }
         assert!(EcdfSketch::merged([]).is_empty());
+    }
+
+    #[test]
+    fn empty_sketch_has_no_quantile() {
+        for p in [0.0, 0.5, 1.0] {
+            assert_eq!(EcdfSketch::new().quantile(p), None);
+            assert_eq!(EcdfSketch::quantile_of(&[EcdfSketch::new()], p), None);
+        }
     }
 
     #[test]

@@ -12,6 +12,23 @@ fn measurements() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0f64..1.0e6, 1..64)
 }
 
+/// Strategy: `(value, part)` pairs for partitioned-sketch tests. Values
+/// repeat often (a small grid) and include both signed zeros and the ends
+/// of the finite range; parts are drawn from `0..6`, so some of the six
+/// parts are usually empty.
+fn partitioned_values() -> impl Strategy<Value = Vec<(f64, usize)>> {
+    let value = prop_oneof![
+        Just(0.0f64),
+        Just(-0.0f64),
+        Just(f64::MAX),
+        Just(f64::MIN),
+        Just(f64::MIN_POSITIVE),
+        (-4i32..5).prop_map(|i| f64::from(i) * 0.5),
+        -1.0e6f64..1.0e6,
+    ];
+    prop::collection::vec((value, 0usize..6), 0..80)
+}
+
 proptest! {
     #[test]
     fn sample_orders_invariants(values in measurements()) {
@@ -134,7 +151,7 @@ proptest! {
             prop_assert_eq!(sketch.eval(x).to_bits(), batch.eval(x).to_bits());
         }
         for &p in &ps {
-            prop_assert_eq!(sketch.quantile(p).to_bits(), batch.quantile(p).to_bits());
+            prop_assert_eq!(sketch.quantile(p).map(f64::to_bits), Some(batch.quantile(p).to_bits()));
         }
         prop_assert_eq!(sketch.min().to_bits(), batch.min().to_bits());
         prop_assert_eq!(sketch.max().to_bits(), batch.max().to_bits());
@@ -161,9 +178,33 @@ proptest! {
             prop_assert_eq!(merged.eval(x).to_bits(), batch.eval(x).to_bits());
         }
         for p in [0.0, 0.25, 0.5, 0.95, 1.0] {
-            prop_assert_eq!(merged.quantile(p).to_bits(), batch.quantile(p).to_bits());
+            prop_assert_eq!(merged.quantile(p).map(f64::to_bits), Some(batch.quantile(p).to_bits()));
         }
         prop_assert_eq!(merged.to_ecdf(), batch);
+    }
+
+    // Rank selection over the parts' sorted runs is bit-identical to
+    // merging the parts and querying the merged sketch, for any partition
+    // (empty parts included) and at the rank boundaries. Both also match
+    // the k-th element of the fully sorted values (`merged(..).quantile`
+    // runs the same routine over one run, so it cannot stand alone).
+    #[test]
+    fn quantile_of_matches_merged_quantile(pairs in partitioned_values(), p_extra in 0.0f64..1.0) {
+        let mut parts = vec![EcdfSketch::new(); 6];
+        let mut sorted = Vec::new();
+        for &(value, part) in &pairs {
+            parts[part].append(value);
+            sorted.push(value);
+        }
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let merged = EcdfSketch::merged(parts.iter());
+        for p in [0.0, 1.0 / n.max(1) as f64, 0.05, 0.5, 1.0, p_extra] {
+            let got = EcdfSketch::quantile_of(&parts, p).map(f64::to_bits);
+            prop_assert_eq!(got, merged.quantile(p).map(f64::to_bits), "p = {}", p);
+            let k = ((p * n as f64).ceil() as usize).clamp(1, n.max(1));
+            prop_assert_eq!(got, sorted.get(k - 1).map(|v| v.to_bits()), "p = {}", p);
+        }
     }
 
     // The incremental matrix extension reproduces the batch pairwise

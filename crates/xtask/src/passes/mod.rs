@@ -208,6 +208,9 @@ impl Default for AnalysisConfig {
             HotEntry::enforced("metrics/src/distance.rs", "similarity_rows_into"),
             HotEntry::enforced("selector/src/select.rs", "celf_core"),
             HotEntry::enforced("selector/src/coxtime.rs", "warmstart_merge_into"),
+            // fleetd's criteria refresh: rank selection straight off the
+            // shard sketches' sorted runs, allocation-free by design.
+            HotEntry::enforced("metrics/src/sketch.rs", "quantile_of"),
             // MLP forward/backward and the optimizer step: the PR 2 hoist
             // left the kernels allocation-free, so the ones whose reach is
             // free of name-collision edges are enforced. The two forward
