@@ -21,7 +21,9 @@ cargo test -q --manifest-path perfbench/Cargo.toml --offline
 echo "==> call-graph analysis (anubis-xtask)"
 cargo run -p anubis-xtask --offline -- analyze --json target/analysis.sarif.json
 
-echo "==> lifecycle model checker (anubis-xtask)"
+echo "==> model checker over fleetd's coordinator (anubis-xtask)"
+# Drives the real Coordinator::begin_tick/end_tick on small fleets; on a
+# violation the counterexample is written to target/modelcheck-trace.txt.
 cargo run -p anubis-xtask --offline -- modelcheck --out target/modelcheck-trace.txt
 
 echo "==> perf-regression gate (quick smoke benches vs BENCH_2.json)"

@@ -15,8 +15,7 @@
 //! Recycling is invisible to results by construction: a taken buffer is
 //! always empty, so the only thing reuse changes is *capacity* — never
 //! contents. Code converted to the arena produces byte-identical output
-//! to its allocating form at any `ANUBIS_THREADS` / `ANUBIS_INCREMENTAL`
-//! setting (the arena is single-threaded; parallel workers own one arena
+//! to its allocating form at any `ANUBIS_THREADS` setting (the arena is single-threaded; parallel workers own one arena
 //! each, mirroring the `anubis-parallel` chunk contract).
 //!
 //! # Discipline

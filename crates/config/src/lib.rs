@@ -5,9 +5,9 @@
 //! nondeterminism taint sources — a run's result must never depend on
 //! ambient process state. This crate is the one sanctioned exception
 //! ([`AnalysisConfig::env_shims`]): every knob it serves is
-//! *performance-shaped only* — thread counts, incremental-path toggles,
-//! perf-gate tolerances — values that change wall-clock time or gate
-//! strictness but never a computed number. Routing all env reads through
+//! *performance-shaped only* — thread counts and perf-gate tolerances —
+//! values that change wall-clock time or gate strictness but never a
+//! computed number. Routing all env reads through
 //! here keeps that contract auditable: a `std::env` call anywhere else in
 //! the workspace is a finding, and a reviewer approving a new call-site
 //! *in this crate* is consciously asserting the knob is
@@ -30,14 +30,6 @@ pub fn raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-/// Boolean knob: `default` when `name` is unset, `false` when its
-/// trimmed value is `"0"`, `true` otherwise. This is the fleet-script
-/// convention (`ANUBIS_INCREMENTAL=0` disables, anything else enables).
-#[must_use]
-pub fn enabled(name: &str, default: bool) -> bool {
-    raw(name).map_or(default, |v| v.trim() != "0")
-}
-
 /// Parses the trimmed value of `name`, returning `None` when the
 /// variable is unset or fails to parse. Callers supply their own default
 /// via `unwrap_or`.
@@ -52,22 +44,6 @@ mod tests {
 
     // Process-global state: each test uses its own variable name so
     // parallel test threads never race on a shared key.
-
-    #[test]
-    fn enabled_honors_default_and_zero() {
-        let name = "ANUBIS_CONFIG_TEST_ENABLED";
-        assert!(enabled(name, true));
-        assert!(!enabled(name, false));
-        std::env::set_var(name, "0");
-        assert!(!enabled(name, true));
-        std::env::set_var(name, " 0 ");
-        assert!(!enabled(name, true));
-        std::env::set_var(name, "1");
-        assert!(enabled(name, false));
-        std::env::set_var(name, "yes");
-        assert!(enabled(name, false));
-        std::env::remove_var(name);
-    }
 
     #[test]
     fn parsed_trims_and_rejects_garbage() {

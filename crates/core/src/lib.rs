@@ -19,14 +19,10 @@
 //! assert_eq!(node.spec().gpus, 8);
 //! ```
 
-pub mod driver;
 pub mod events;
-pub mod repair;
 pub mod system;
 
-pub use driver::{FleetDriver, StepReport};
 pub use events::{EventOutcome, ValidationEvent};
-pub use repair::RepairSystem;
 pub use system::{Anubis, AnubisConfig};
 
 pub use anubis_benchsuite as benchsuite;

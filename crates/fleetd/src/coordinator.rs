@@ -5,7 +5,10 @@
 //! pipeline, and the fleet-wide defect criteria — while the
 //! [`ShardWorker`]s own the data movement (incident ingestion, status
 //! covariates, benchmark execution). One [`Coordinator::step`] is a
-//! virtual-time tick:
+//! virtual-time tick: [`Coordinator::begin_tick`] runs phases 1–3, the
+//! shards run phase 4, and [`Coordinator::end_tick`] runs phases 5–7.
+//! The two halves are public so `cargo xtask modelcheck` can drive the
+//! same decision code with arrivals and proposals of its own choosing.
 //!
 //! 1. finish repairs that came due and return those nodes to service,
 //! 2. complete jobs whose duration elapsed,
@@ -32,7 +35,7 @@
 //! byte-identical for any shard count and any `ANUBIS_THREADS`.
 
 use crate::config::FleetdConfig;
-use crate::shard::{ShardWorker, TickContext};
+use crate::shard::{ShardReport, ShardWorker, TickContext};
 use anubis_lifecycle::{LifecycleEvent, LifecycleTable, StateCounts};
 use anubis_metrics::EcdfSketch;
 use anubis_parallel::map_chunks_mut;
@@ -56,7 +59,7 @@ struct Job {
 
 /// One tick's observable outcome, in both the live summary and the JSONL
 /// trace. All fields are deterministic functions of the config.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TickSummary {
     /// Tick index.
     pub tick: u32,
@@ -82,7 +85,8 @@ pub struct TickSummary {
     pub jobs_completed: usize,
     /// Jobs killed because a member node was quarantined this tick.
     pub jobs_killed: usize,
-    /// Arrivals dropped at the pending-queue cap this tick.
+    /// Arrivals dropped this tick: larger than the fleet, or beyond the
+    /// pending-queue cap.
     pub jobs_dropped: usize,
     /// Jobs awaiting placement after this tick.
     pub pending_jobs: usize,
@@ -164,7 +168,8 @@ pub struct FleetSummary {
     pub jobs_completed: u64,
     /// Jobs killed by quarantines.
     pub jobs_killed: u64,
-    /// Arrivals dropped at the pending-queue cap.
+    /// Arrivals dropped: larger than the fleet, or beyond the
+    /// pending-queue cap.
     pub jobs_dropped: u64,
     /// Final lifecycle census.
     pub final_counts: StateCounts,
@@ -239,6 +244,9 @@ pub struct Coordinator {
     repaired_now: Vec<u32>,
     arrivals: Vec<JobArrival>,
     free: Vec<u32>,
+    proposals: ShardReport,
+    /// Phase 1–3 counts of the tick between `begin_tick` and `end_tick`.
+    open: TickSummary,
 }
 
 impl Coordinator {
@@ -277,6 +285,8 @@ impl Coordinator {
             repaired_now: Vec::new(),
             arrivals: Vec::new(),
             free: Vec::new(),
+            proposals: ShardReport::default(),
+            open: TickSummary::default(),
             cfg,
         }
     }
@@ -324,126 +334,62 @@ impl Coordinator {
         self.jobs.len() - self.free_slots.len()
     }
 
-    /// Executes one tick and returns its summary.
-    #[allow(clippy::too_many_lines)]
+    /// Jobs awaiting placement, in FIFO order.
+    pub fn pending(&self) -> impl Iterator<Item = &JobArrival> {
+        self.pending.iter()
+    }
+
+    /// Live jobs as `(due tick, job id, member nodes)`, ordered by due
+    /// tick. Killed jobs whose due tick has not come yet are not listed.
+    pub fn live_jobs(&self) -> impl Iterator<Item = (u32, u32, &[u32])> {
+        self.due.iter().flat_map(move |(&due, ids)| {
+            ids.iter().filter_map(move |&id| {
+                let job = self.jobs.get(id as usize)?;
+                job.alive.then_some((due, id, job.nodes.as_slice()))
+            })
+        })
+    }
+
+    /// The id of the live job `node` serves, if any.
+    pub fn job_of(&self, node: u32) -> Option<u32> {
+        self.job_of
+            .get(node as usize)
+            .copied()
+            .filter(|&id| id != NO_JOB)
+    }
+
+    /// Queued repairs as `(ready tick, node)`, in completion order.
+    pub fn repairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.repair_queue.iter().copied()
+    }
+
+    /// The virtual-hour window `[t0, t1)` of the current tick.
+    fn window(&self) -> (f64, f64) {
+        (
+            f64::from(self.tick) * self.cfg.tick_hours,
+            f64::from(self.tick + 1) * self.cfg.tick_hours,
+        )
+    }
+
+    /// Executes one tick and returns its summary: [`Coordinator::begin_tick`]
+    /// on the allocation stream's arrivals, every shard's
+    /// [`ShardWorker::tick`] in parallel, then [`Coordinator::end_tick`] on
+    /// the shard reports concatenated in shard order.
     pub fn step(&mut self) -> TickSummary {
-        let tick = self.tick;
-        let t0 = f64::from(tick) * self.cfg.tick_hours;
-        let t1 = f64::from(tick + 1) * self.cfg.tick_hours;
+        let (t0, t1) = self.window();
         anubis_obs::set_time(t0);
         let _span = anubis_obs::span!("fleetd.tick");
 
-        // 1. Repairs that came due: Quarantined -> Repaired -> Healthy,
-        // and tell the shards to rejuvenate the hardware.
-        self.repaired_now.clear();
-        let mut repairs_completed = 0usize;
-        while let Some(&(ready, node)) = self.repair_queue.front() {
-            if ready > tick {
-                break;
-            }
-            self.repair_queue.pop_front();
-            if self
-                .table
-                .apply_if_legal(node as usize, LifecycleEvent::RepairCompleted)
-                && self
-                    .table
-                    .apply_if_legal(node as usize, LifecycleEvent::ReturnedToService)
-            {
-                self.repaired_now.push(node);
-                repairs_completed += 1;
-            }
-        }
-        self.repaired_now.sort_unstable();
-
-        // 2. Jobs whose duration elapsed. Consuming a due entry releases
-        // its slot, whether the job completes now or was killed earlier.
-        let mut jobs_completed = 0usize;
-        if let Some(due_jobs) = self.due.remove(&tick) {
-            for job_id in due_jobs {
-                self.free_slots.push(job_id);
-                let job = &mut self.jobs[job_id as usize];
-                if !job.alive {
-                    continue;
-                }
-                job.alive = false;
-                jobs_completed += 1;
-                for i in 0..self.jobs[job_id as usize].nodes.len() {
-                    let node = self.jobs[job_id as usize].nodes[i];
-                    if self.job_of[node as usize] == job_id {
-                        self.table
-                            .apply_if_legal(node as usize, LifecycleEvent::JobCompleted);
-                        self.job_of[node as usize] = NO_JOB;
-                    }
-                }
-            }
-        }
-
-        // 3. Arrivals and FIFO placement onto healthy nodes.
-        self.arrivals.clear();
-        self.alloc.poll(t1, &mut self.arrivals);
-        let mut jobs_dropped = 0usize;
-        for arrival in self.arrivals.drain(..) {
-            if self.pending.len() >= self.cfg.max_pending_jobs {
-                jobs_dropped += 1;
-            } else {
-                self.pending.push_back(arrival);
-            }
-        }
-        self.free.clear();
-        for (node, state) in self.table.states().iter().enumerate() {
-            if state.is_healthy() {
-                self.free.push(node as u32);
-            }
-        }
-        let mut jobs_started = 0usize;
-        let mut next_free = 0usize;
-        while let Some(front) = self.pending.front() {
-            let want = front.nodes as usize;
-            if want == 0 {
-                self.pending.pop_front();
-                continue;
-            }
-            if next_free + want > self.free.len() {
-                break; // head-of-line blocks until capacity frees up
-            }
-            let arrival = match self.pending.pop_front() {
-                Some(a) => a,
-                None => break,
-            };
-            let job_id = match self.free_slots.pop() {
-                Some(slot) => slot,
-                None => {
-                    self.jobs.push(Job {
-                        nodes: Vec::new(),
-                        alive: false,
-                    });
-                    (self.jobs.len() - 1) as u32
-                }
-            };
-            let members = &self.free[next_free..next_free + want];
-            for &node in members {
-                self.table
-                    .apply_if_legal(node as usize, LifecycleEvent::JobAssigned);
-                self.job_of[node as usize] = job_id;
-            }
-            let job = &mut self.jobs[job_id as usize];
-            job.nodes.clear();
-            job.nodes.extend_from_slice(members);
-            job.alive = true;
-            let duration_ticks =
-                ((arrival.duration_hours / self.cfg.tick_hours).ceil() as u32).max(1);
-            self.due
-                .entry(tick.saturating_add(duration_ticks))
-                .or_default()
-                .push(job_id);
-            next_free += want;
-            jobs_started += 1;
-        }
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        arrivals.clear();
+        self.alloc.poll(t1, &mut arrivals);
+        self.begin_tick(&arrivals);
+        self.arrivals = arrivals;
 
         // 4. The parallel shard phase (the only one). The snapshot the
         // shards see includes this tick's placements and repairs.
         let ctx = TickContext {
-            tick,
+            tick: self.tick,
             t0,
             t1,
             horizon_hours: self.cfg.horizon_hours,
@@ -458,40 +404,152 @@ impl Coordinator {
                 shard.tick(&ctx, states, repaired);
             }
         });
+        let mut proposals = std::mem::take(&mut self.proposals);
+        proposals.reset();
+        for shard in &self.shards {
+            let report = shard.report();
+            proposals.proposals.extend_from_slice(&report.proposals);
+            proposals.incidents += report.incidents;
+            proposals.samples += report.samples;
+        }
+        let summary = self.end_tick(&proposals);
+        self.proposals = proposals;
+        summary
+    }
+
+    /// Phases 1–3 of a tick: finishes due repairs and jobs, admits
+    /// `arrivals` to the pending queue, and places the queue FIFO onto
+    /// healthy nodes. [`Coordinator::end_tick`] closes the tick.
+    pub fn begin_tick(&mut self, arrivals: &[JobArrival]) {
+        let tick = self.tick;
+        let mut open = TickSummary {
+            tick,
+            hour: self.window().1,
+            ..TickSummary::default()
+        };
+
+        // 1. Repairs that came due: Quarantined -> Repaired -> Healthy,
+        // and tell the shards to rejuvenate the hardware.
+        self.repaired_now.clear();
+        while let Some(&(ready, node)) = self.repair_queue.front() {
+            if ready > tick {
+                break;
+            }
+            self.repair_queue.pop_front();
+            if self
+                .table
+                .apply_if_legal(node as usize, LifecycleEvent::RepairCompleted)
+                && self
+                    .table
+                    .apply_if_legal(node as usize, LifecycleEvent::ReturnedToService)
+            {
+                self.repaired_now.push(node);
+                open.repairs_completed += 1;
+            }
+        }
+        self.repaired_now.sort_unstable();
+
+        // 2. Jobs whose duration elapsed. Consuming a due entry releases
+        // its slot, whether the job completes now or was killed earlier.
+        if let Some(due_jobs) = self.due.remove(&tick) {
+            for job_id in due_jobs {
+                self.free_slots.push(job_id);
+                if self.end_job(job_id) {
+                    open.jobs_completed += 1;
+                }
+            }
+        }
+
+        // 3. Arrivals and FIFO placement onto healthy nodes. A job larger
+        // than the fleet could never be placed and would block the FIFO
+        // head forever, so it is dropped at admission.
+        for &arrival in arrivals {
+            if arrival.nodes > self.cfg.nodes || self.pending.len() >= self.cfg.max_pending_jobs {
+                open.jobs_dropped += 1;
+            } else {
+                self.pending.push_back(arrival);
+            }
+        }
+        self.free.clear();
+        for (node, state) in self.table.states().iter().enumerate() {
+            if state.is_healthy() {
+                self.free.push(node as u32);
+            }
+        }
+        let mut next_free = 0usize;
+        while let Some(front) = self.pending.front() {
+            let want = front.nodes as usize;
+            if want == 0 {
+                self.pending.pop_front();
+                continue;
+            }
+            let Some(members) = self.free.get(next_free..next_free + want) else {
+                break; // head-of-line blocks until capacity frees up
+            };
+            let Some(arrival) = self.pending.pop_front() else {
+                break;
+            };
+            let job_id = self.free_slots.pop().unwrap_or_else(|| {
+                self.jobs.push(Job {
+                    nodes: Vec::new(),
+                    alive: false,
+                });
+                (self.jobs.len() - 1) as u32
+            });
+            for &node in members {
+                self.table
+                    .apply_if_legal(node as usize, LifecycleEvent::JobAssigned);
+                if let Some(slot) = self.job_of.get_mut(node as usize) {
+                    *slot = job_id;
+                }
+            }
+            if let Some(job) = self.jobs.get_mut(job_id as usize) {
+                job.nodes.clear();
+                job.nodes.extend_from_slice(members);
+                job.alive = true;
+            }
+            let duration_ticks =
+                ((arrival.duration_hours / self.cfg.tick_hours).ceil() as u32).max(1);
+            self.due
+                .entry(tick.saturating_add(duration_ticks))
+                .or_default()
+                .push(job_id);
+            next_free += want;
+            open.jobs_started += 1;
+        }
+        self.open = open;
+    }
+
+    /// Phases 5–7 of a tick, after [`Coordinator::begin_tick`]: applies
+    /// the shards' `proposals` in order, starts validations, refreshes
+    /// the criteria, and returns the tick's summary.
+    pub fn end_tick(&mut self, proposals: &ShardReport) -> TickSummary {
+        let tick = self.tick;
+        let mut summary = self.open;
+        summary.incidents = proposals.incidents;
+        summary.samples = proposals.samples;
+        summary.proposals = proposals.proposals.len();
 
         // 5. Apply proposals in fixed shard order (= global node order).
-        let mut incidents = 0usize;
-        let mut samples = 0usize;
-        let mut proposals = 0usize;
-        let mut defects_confirmed = 0usize;
-        let mut incident_quarantines = 0usize;
-        let mut jobs_killed = 0usize;
-        for shard_id in 0..self.shards.len() {
-            let report = self.shards[shard_id].report();
-            incidents += report.incidents;
-            samples += report.samples;
-            proposals += report.proposals.len();
-            for i in 0..self.shards[shard_id].report().proposals.len() {
-                let (node, event) = self.shards[shard_id].report().proposals[i];
-                if !self.table.apply_if_legal(node as usize, event) {
-                    continue;
-                }
-                match event {
-                    LifecycleEvent::IncidentObserved => {
-                        incident_quarantines += 1;
-                        if self.kill_job_of(node) {
-                            jobs_killed += 1;
-                        }
-                        self.repair_queue
-                            .push_back((tick.saturating_add(self.cfg.repair_ticks), node));
+        for &(node, event) in &proposals.proposals {
+            if !self.table.apply_if_legal(node as usize, event) {
+                continue;
+            }
+            match event {
+                LifecycleEvent::IncidentObserved => {
+                    summary.incident_quarantines += 1;
+                    if self.kill_job_of(node) {
+                        summary.jobs_killed += 1;
                     }
-                    LifecycleEvent::DefectConfirmed => {
-                        defects_confirmed += 1;
-                        self.repair_queue
-                            .push_back((tick.saturating_add(self.cfg.repair_ticks), node));
-                    }
-                    _ => {}
+                    self.repair_queue
+                        .push_back((tick.saturating_add(self.cfg.repair_ticks), node));
                 }
+                LifecycleEvent::DefectConfirmed => {
+                    summary.defects_confirmed += 1;
+                    self.repair_queue
+                        .push_back((tick.saturating_add(self.cfg.repair_ticks), node));
+                }
+                _ => {}
             }
         }
 
@@ -499,16 +557,15 @@ impl Coordinator {
         // `ValidationStarted` is only legal from suspect, so attempting
         // it *is* the suspect check.
         let cap = self.cfg.validation_cap();
-        let mut validations_started = 0u32;
         for node in 0..self.cfg.nodes {
-            if validations_started >= cap {
+            if summary.validations_started >= cap {
                 break;
             }
             if self
                 .table
                 .apply_if_legal(node as usize, LifecycleEvent::ValidationStarted)
             {
-                validations_started += 1;
+                summary.validations_started += 1;
             }
         }
 
@@ -523,49 +580,56 @@ impl Coordinator {
             }
         }
 
-        let counts = self.table.counts();
-        anubis_obs::set_time(t1); // the open tick span covers [t0, t1]
-        anubis_obs::counter!("fleetd.incidents", incidents as i64);
-        anubis_obs::counter!("fleetd.samples", samples as i64);
-        anubis_obs::counter!("fleetd.validations", i64::from(validations_started));
+        summary.counts = self.table.counts();
+        summary.pending_jobs = self.pending.len();
+        summary.criteria_threshold = self.criteria_threshold;
+        anubis_obs::set_time(summary.hour); // the open tick span covers [t0, t1]
+        anubis_obs::counter!("fleetd.incidents", summary.incidents as i64);
+        anubis_obs::counter!("fleetd.samples", summary.samples as i64);
+        anubis_obs::counter!("fleetd.validations", i64::from(summary.validations_started));
         anubis_obs::counter!(
             "fleetd.quarantines",
-            (defects_confirmed + incident_quarantines) as i64
+            (summary.defects_confirmed + summary.incident_quarantines) as i64
         );
 
         self.tick += 1;
-        self.totals.ticks = self.tick;
-        self.totals.incidents += incidents as u64;
-        self.totals.samples += samples as u64;
-        self.totals.validations += u64::from(validations_started);
-        self.totals.defects_confirmed += defects_confirmed as u64;
-        self.totals.incident_quarantines += incident_quarantines as u64;
-        self.totals.repairs += repairs_completed as u64;
-        self.totals.jobs_started += jobs_started as u64;
-        self.totals.jobs_completed += jobs_completed as u64;
-        self.totals.jobs_killed += jobs_killed as u64;
-        self.totals.jobs_dropped += jobs_dropped as u64;
-        self.totals.final_counts = counts;
-        self.totals.criteria_threshold = self.criteria_threshold;
+        let totals = &mut self.totals;
+        totals.ticks = self.tick;
+        totals.incidents += summary.incidents as u64;
+        totals.samples += summary.samples as u64;
+        totals.validations += u64::from(summary.validations_started);
+        totals.defects_confirmed += summary.defects_confirmed as u64;
+        totals.incident_quarantines += summary.incident_quarantines as u64;
+        totals.repairs += summary.repairs_completed as u64;
+        totals.jobs_started += summary.jobs_started as u64;
+        totals.jobs_completed += summary.jobs_completed as u64;
+        totals.jobs_killed += summary.jobs_killed as u64;
+        totals.jobs_dropped += summary.jobs_dropped as u64;
+        totals.final_counts = summary.counts;
+        totals.criteria_threshold = self.criteria_threshold;
+        summary
+    }
 
-        TickSummary {
-            tick,
-            hour: t1,
-            incidents,
-            samples,
-            proposals,
-            validations_started,
-            defects_confirmed,
-            incident_quarantines,
-            repairs_completed,
-            jobs_started,
-            jobs_completed,
-            jobs_killed,
-            jobs_dropped,
-            pending_jobs: self.pending.len(),
-            counts,
-            criteria_threshold: self.criteria_threshold,
+    /// Ends live job `job_id`: every member still mapped to it returns to
+    /// healthy. Returns whether the job was live.
+    fn end_job(&mut self, job_id: u32) -> bool {
+        let Some(job) = self.jobs.get_mut(job_id as usize) else {
+            return false;
+        };
+        if !job.alive {
+            return false;
         }
+        job.alive = false;
+        for &member in &job.nodes {
+            if let Some(slot) = self.job_of.get_mut(member as usize) {
+                if *slot == job_id {
+                    self.table
+                        .apply_if_legal(member as usize, LifecycleEvent::JobCompleted);
+                    *slot = NO_JOB;
+                }
+            }
+        }
+        true
     }
 
     /// Kills the job occupying `node` (the node itself was just
@@ -573,32 +637,19 @@ impl Coordinator {
     /// entry is left to lapse and releases the slot when consumed.
     /// Returns whether a live job was killed.
     fn kill_job_of(&mut self, node: u32) -> bool {
-        let job_id = self.job_of[node as usize];
-        self.job_of[node as usize] = NO_JOB;
-        if job_id == NO_JOB {
+        let Some(slot) = self.job_of.get_mut(node as usize) else {
             return false;
-        }
-        let job = &mut self.jobs[job_id as usize];
-        if !job.alive {
-            return false;
-        }
-        job.alive = false;
-        for i in 0..self.jobs[job_id as usize].nodes.len() {
-            let member = self.jobs[job_id as usize].nodes[i];
-            if member != node && self.job_of[member as usize] == job_id {
-                self.table
-                    .apply_if_legal(member as usize, LifecycleEvent::JobCompleted);
-                self.job_of[member as usize] = NO_JOB;
-            }
-        }
-        true
+        };
+        let job_id = std::mem::replace(slot, NO_JOB);
+        self.end_job(job_id)
     }
 
     /// Runs `ticks` ticks, invoking `on_tick` after each, and returns the
     /// run totals.
     pub fn run(&mut self, ticks: u32, mut on_tick: impl FnMut(&TickSummary)) -> FleetSummary {
         for _ in 0..ticks {
-            let summary = self.step();
+            // A path call, so the call graph resolves it to this impl.
+            let summary = Self::step(self);
             on_tick(&summary);
         }
         self.totals

@@ -23,7 +23,9 @@
 //!   merged sketch is built and job slots are recycled. Shards run in
 //!   parallel on `anubis-parallel`; their proposals are applied in fixed
 //!   shard order, so summaries and JSONL traces are byte-identical across
-//!   `ANUBIS_THREADS` *and* across shard counts.
+//!   `ANUBIS_THREADS` *and* across shard counts. A tick's decision phases
+//!   are public ([`Coordinator::begin_tick`], [`Coordinator::end_tick`]) so
+//!   `cargo xtask modelcheck` checks this coordinator, not a model of it.
 //!
 //! ```
 //! use anubis_fleetd::{Coordinator, FleetdConfig};
@@ -38,6 +40,11 @@
 //! assert_eq!(summary.ticks, 10);
 //! assert_eq!(summary.final_counts.total(), 64);
 //! ```
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod config;
 pub mod coordinator;

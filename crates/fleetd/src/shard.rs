@@ -45,7 +45,7 @@ pub struct ShardReport {
 
 impl ShardReport {
     /// Clears the report for the next tick, keeping buffer capacity.
-    fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.proposals.clear();
         self.incidents = 0;
         self.samples = 0;
@@ -184,15 +184,6 @@ impl ShardWorker {
             .unwrap_or(0.0)
     }
 
-    /// The observable incident probability of a node over `horizon`
-    /// hours, from its recorded status covariates (the per-shard Selector
-    /// scoring rule: wear-accelerated exponential hazard).
-    fn risk(&self, index: usize, horizon: f64) -> f64 {
-        let k = self.statuses[index].incident_count.min(self.wear_cap);
-        let rate = self.wear_factor.powi(k as i32) / self.base_mtbi_hours;
-        1.0 - (-rate * horizon).exp()
-    }
-
     /// Runs one tick of the shard loop. `states` is the global lifecycle
     /// snapshot (indexed by node), `repaired` the globally-sorted list of
     /// nodes whose repair completed at the start of this tick.
@@ -203,30 +194,53 @@ impl ShardWorker {
         self.report.reset();
         let first = repaired.partition_point(|&n| n < self.lo);
         let last = repaired.partition_point(|&n| n < self.hi);
-        for &node in &repaired[first..last] {
+        for &node in repaired.get(first..last).unwrap_or_default() {
             let i = (node - self.lo) as usize;
-            self.degradation[i] = 0.0;
-            self.statuses[i] = NodeStatus::fresh();
-            self.cooldown_until[i] = ctx.tick.saturating_add(ctx.cooldown_ticks);
+            if let Some(degradation) = self.degradation.get_mut(i) {
+                *degradation = 0.0;
+            }
+            if let Some(status) = self.statuses.get_mut(i) {
+                *status = NodeStatus::fresh();
+            }
+            if let Some(until) = self.cooldown_until.get_mut(i) {
+                *until = ctx.tick.saturating_add(ctx.cooldown_ticks);
+            }
             self.incidents.reset_wear(node);
         }
 
+        // The observable incident probability over the horizon, from the
+        // recorded status covariates (the per-shard Selector scoring rule:
+        // wear-accelerated exponential hazard).
+        let (wear_cap, wear_factor, base_mtbi_hours) =
+            (self.wear_cap, self.wear_factor, self.base_mtbi_hours);
+        let risk = |status: &NodeStatus| {
+            let k = status.incident_count.min(wear_cap);
+            let rate = wear_factor.powi(k as i32) / base_mtbi_hours;
+            1.0 - (-rate * ctx.horizon_hours).exp()
+        };
         let mut events = self.events_pool.scope();
-        for node in self.lo..self.hi {
-            let i = (node - self.lo) as usize;
+        let local_states = states
+            .get(self.lo as usize..self.hi as usize)
+            .unwrap_or_default();
+        let nodes = (self.lo..self.hi)
+            .zip(local_states)
+            .zip(self.statuses.iter_mut())
+            .zip(self.degradation.iter_mut())
+            .zip(self.noise_rngs.iter_mut())
+            .zip(self.cooldown_until.iter_mut());
+        for (((((node, &state), status), degradation), rng), cooldown_until) in nodes {
             events.clear();
             self.incidents.poll_node(node, ctx.t1, &mut events);
-            let state = states[node as usize];
             for event in &*events {
-                self.statuses[i].record_incident(event.category);
-                if self.noise_rngs[i].random::<f64>() < self.damage_probability {
-                    let damage = self.noise_rngs[i].random_range(self.damage_min..self.damage_max);
-                    self.degradation[i] = (self.degradation[i] + damage).min(0.9);
+                status.record_incident(event.category);
+                if rng.random::<f64>() < self.damage_probability {
+                    let damage = rng.random_range(self.damage_min..self.damage_max);
+                    *degradation = (*degradation + damage).min(0.9);
                 }
             }
             self.report.incidents += events.len();
             if state.in_service() {
-                self.statuses[i].advance(ctx.t1 - ctx.t0);
+                status.advance(ctx.t1 - ctx.t0);
             }
             // An incident under stress (serving a job or mid-validation)
             // confirms the defect outright.
@@ -239,8 +253,8 @@ impl ShardWorker {
             if state.is_validating() {
                 // Run the scheduled benchmark: nominal score shaved by
                 // hidden degradation, under measurement noise.
-                let factor = self.noise.factor(&mut self.noise_rngs[i]);
-                let score = self.base_score * (1.0 - self.degradation[i]) * factor;
+                let factor = self.noise.factor(rng);
+                let score = self.base_score * (1.0 - *degradation) * factor;
                 self.sketch.append(score);
                 self.report.samples += 1;
                 let defective = ctx
@@ -251,7 +265,7 @@ impl ShardWorker {
                         .proposals
                         .push((node, LifecycleEvent::DefectConfirmed));
                 } else {
-                    self.cooldown_until[i] = ctx.tick.saturating_add(ctx.cooldown_ticks);
+                    *cooldown_until = ctx.tick.saturating_add(ctx.cooldown_ticks);
                     self.report
                         .proposals
                         .push((node, LifecycleEvent::ValidationPassed));
@@ -259,8 +273,8 @@ impl ShardWorker {
                 continue;
             }
             if state.is_healthy()
-                && ctx.tick >= self.cooldown_until[i]
-                && self.risk(i, ctx.horizon_hours) > ctx.risk_threshold
+                && ctx.tick >= *cooldown_until
+                && risk(status) > ctx.risk_threshold
             {
                 self.report
                     .proposals

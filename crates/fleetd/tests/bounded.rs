@@ -49,3 +49,19 @@ fn repair_ready_tick_saturates() {
     );
     assert_eq!(summary.repairs, 0, "a saturated repair never comes due");
 }
+
+#[test]
+fn fleets_smaller_than_the_largest_job_still_place_jobs() {
+    // The arrival mix draws jobs of up to 16 nodes. An oversize job is
+    // dropped at admission instead of blocking the FIFO head forever.
+    let cfg = FleetdConfig {
+        nodes: 8,
+        shards: 1,
+        ticks: 2000,
+        ..FleetdConfig::default()
+    };
+    let mut fleet = Coordinator::new(cfg);
+    let totals = fleet.run(2000, |_| {});
+    assert!(totals.jobs_started > 0, "no job placed on 8 nodes");
+    assert!(totals.jobs_dropped > 0, "16-node jobs must be dropped");
+}

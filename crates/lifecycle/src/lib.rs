@@ -11,16 +11,11 @@
 //!   workspace must route through. The `A005` analysis pass
 //!   (`cargo xtask analyze`) rejects any other crate that constructs or
 //!   mutates a `NodeState` directly.
-//! - [`model`] is a small-model abstraction of the Selector/Validator
-//!   coordinator loop plus an exhaustive enumerator
-//!   ([`check_model`]) over bounded event interleavings. It verifies the
-//!   three ROADMAP safety/liveness properties — every threshold crossing
-//!   is eventually validated, no validation is scheduled on a node
-//!   serving a job, and coordinator-initiated quarantine never drops the
-//!   fleet below its capacity floor — and produces a printable
-//!   counterexample trace when a (deliberately injected) coordinator bug
-//!   violates one. `cargo xtask modelcheck` drives a grid of model
-//!   configurations through it on the deterministic executor.
+//! - [`table`] holds a whole fleet's states in one flat table, with
+//!   incremental per-state counts and an optional transition journal.
+//!   `anubis-fleetd`'s coordinator keeps its decision state there, and
+//!   `cargo xtask modelcheck` checks that coordinator's liveness and
+//!   safety properties by driving its real tick phases.
 //!
 //! Outside this crate, code interrogates state through the predicate
 //! methods ([`NodeState::is_healthy`] and friends) and changes it through
@@ -33,11 +28,7 @@
 )]
 
 pub mod machine;
-pub mod model;
 pub mod table;
 
 pub use machine::{transition, LifecycleEvent, NodeLifecycle, NodeState, TransitionError};
-pub use model::{
-    check_model, CheckOutcome, CoordinatorBugs, ModelConfig, Property, Stimulus, Violation,
-};
 pub use table::{LifecycleTable, StateCounts, TransitionRecord};

@@ -84,22 +84,17 @@ impl EcdfSketch {
     /// like incrementing a binary counter.
     pub fn append(&mut self, value: f64) {
         debug_assert!(value.is_finite(), "sketch values must be finite");
-        let mut carry = vec![value];
-        let mut level = 0;
-        loop {
-            if level == self.runs.len() {
-                self.runs.push(carry);
-                break;
-            }
-            if self.runs[level].is_empty() {
-                self.runs[level] = carry;
-                break;
-            }
-            let occupant = std::mem::take(&mut self.runs[level]);
-            carry = merge_runs(&occupant, &carry);
-            level += 1;
-        }
         self.len += 1;
+        let mut carry = vec![value];
+        for run in &mut self.runs {
+            if run.is_empty() {
+                *run = carry;
+                return;
+            }
+            let occupant = std::mem::take(run);
+            carry = merge_runs(&occupant, &carry);
+        }
+        self.runs.push(carry);
     }
 
     /// Appends every value of an iterator.
@@ -337,18 +332,18 @@ fn from_order_key(key: u64) -> f64 {
 /// the left side first, which preserves the total order.
 fn merge_runs(a: &[f64], b: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i].total_cmp(&b[j]).is_le() {
-            out.push(a[i]);
-            i += 1;
+    let (mut a, mut b) = (a, b);
+    while let (Some((&x, a_rest)), Some((&y, b_rest))) = (a.split_first(), b.split_first()) {
+        if x.total_cmp(&y).is_le() {
+            out.push(x);
+            a = a_rest;
         } else {
-            out.push(b[j]);
-            j += 1;
+            out.push(y);
+            b = b_rest;
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    out.extend_from_slice(a);
+    out.extend_from_slice(b);
     out
 }
 

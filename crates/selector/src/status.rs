@@ -33,7 +33,9 @@ impl NodeStatus {
     /// clock.
     pub fn record_incident(&mut self, category: IncidentCategory) {
         self.incident_count += 1;
-        self.category_counts[category.index()] += 1;
+        if let Some(count) = self.category_counts.get_mut(category.index()) {
+            *count += 1;
+        }
         self.hours_since_last_incident = 0.0;
     }
 

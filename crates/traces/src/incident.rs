@@ -49,7 +49,12 @@ impl SourceMix {
             }
             target -= weight;
         }
-        self.weights.last().expect("mix non-empty").0
+        // Rounding can leave `target` just past the last weight; the last
+        // category takes it. (The mix is never empty: only `azure_like`
+        // builds one.)
+        self.weights
+            .last()
+            .map_or(IncidentCategory::Software, |&(category, _)| category)
     }
 }
 

@@ -35,8 +35,8 @@ use std::ops::Range;
 /// extra node). `shards` is clamped to `1..=nodes.max(1)`.
 pub fn shard_ranges(nodes: u32, shards: u32) -> Vec<Range<u32>> {
     let shards = shards.clamp(1, nodes.max(1));
-    let base = nodes / shards;
-    let extra = nodes % shards;
+    let base = nodes.checked_div(shards).unwrap_or(nodes);
+    let extra = nodes.checked_rem(shards).unwrap_or(0);
     let mut ranges = Vec::with_capacity(shards as usize);
     let mut lo = 0u32;
     for s in 0..shards {
@@ -156,28 +156,26 @@ impl ShardIncidentSource {
     }
 
     /// Current hazard rate of a node (incidents per hour).
-    fn rate(&self, stream: &NodeStream) -> f64 {
-        let k = stream.wear.min(self.config.wear_cap);
-        stream.frailty * self.config.wear_factor.powi(k as i32)
-            / self.config.base_mtbi_hours.max(1e-9)
+    fn rate(config: &IncidentStreamConfig, stream: &NodeStream) -> f64 {
+        let k = stream.wear.min(config.wear_cap);
+        stream.frailty * config.wear_factor.powi(k as i32) / config.base_mtbi_hours.max(1e-9)
     }
 
     /// Appends every incident of `node` with `start_hour < until_hour`
     /// to `out`, advancing the node's stream. Events arrive in start-hour
     /// order; repeated polling with growing windows never re-emits.
     pub fn poll_node(&mut self, node: u32, until_hour: f64, out: &mut Vec<IncidentEvent>) {
-        let Some(index) = node
+        let Some(stream) = node
             .checked_sub(self.range.start)
-            .map(|i| i as usize)
-            .filter(|&i| i < self.streams.len())
+            .and_then(|i| self.streams.get_mut(i as usize))
         else {
             return;
         };
-        while self.streams[index].next_hour < until_hour {
-            let start_hour = self.streams[index].next_hour;
-            let stream = &mut self.streams[index];
-            let ticket_hours = self.tickets.sample(&mut stream.rng);
-            let category = self.mix.sample(&mut stream.rng);
+        while stream.next_hour < until_hour {
+            let start_hour = stream.next_hour;
+            // Path calls: the call graph resolves `.sample()` by name only.
+            let ticket_hours = TicketDurationModel::sample(&self.tickets, &mut stream.rng);
+            let category = SourceMix::sample(&self.mix, &mut stream.rng);
             out.push(IncidentEvent {
                 node,
                 start_hour,
@@ -185,8 +183,7 @@ impl ShardIncidentSource {
                 category,
             });
             stream.wear = stream.wear.saturating_add(1);
-            let rate = self.rate(&self.streams[index]);
-            let stream = &mut self.streams[index];
+            let rate = Self::rate(&self.config, stream);
             let gap = exponential(&mut stream.rng, rate);
             stream.next_hour = start_hour + gap;
         }
@@ -197,12 +194,11 @@ impl ShardIncidentSource {
     /// next incident time is kept (the draw happened under the old
     /// hazard), so the reset never re-randomizes the past.
     pub fn reset_wear(&mut self, node: u32) {
-        if let Some(index) = node
+        if let Some(stream) = node
             .checked_sub(self.range.start)
-            .map(|i| i as usize)
-            .filter(|&i| i < self.streams.len())
+            .and_then(|i| self.streams.get_mut(i as usize))
         {
-            self.streams[index].wear = 0;
+            stream.wear = 0;
         }
     }
 }
@@ -368,9 +364,9 @@ mod tests {
         let mut source = ShardIncidentSource::new(&config, 0..1);
         let mut events = Vec::new();
         source.poll_node(0, 500.0, &mut events);
-        let worn_rate = source.rate(&source.streams[0]);
+        let worn_rate = ShardIncidentSource::rate(&source.config, &source.streams[0]);
         source.reset_wear(0);
-        let fresh_rate = source.rate(&source.streams[0]);
+        let fresh_rate = ShardIncidentSource::rate(&source.config, &source.streams[0]);
         if !events.is_empty() {
             assert!(fresh_rate < worn_rate, "reset must drop the hazard");
         }

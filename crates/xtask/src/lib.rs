@@ -4,8 +4,8 @@
 //! type-resolved ones: the root `clippy.toml` bans wall-clock types and raw
 //! threads, and the gated crates' `lib.rs` headers deny `unwrap`/`expect`/
 //! `panic!`. This crate holds the rest: the call-graph passes of
-//! [`passes`] (A001–A009) behind `analyze`, next to the lifecycle model
-//! checker ([`modelcheck`]), the trace profiler ([`profile`]) and the
+//! [`passes`] (A001–A009) behind `analyze`, next to the model checker
+//! over fleetd's coordinator ([`modelcheck`]), the trace profiler ([`profile`]) and the
 //! perf-regression gate ([`perf`]).
 
 pub mod callgraph;

@@ -6,7 +6,6 @@
 //! cargo xtask analyze    [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline]
 //!                        [--arena-report]
 //! cargo xtask modelcheck [--out <file>] [--threads <n>]
-//!                        [--bug <forget-risk|validate-busy|ignore-floor>]
 //! cargo xtask profile    [<trace.jsonl>] [--top <n>]
 //! cargo xtask perfgate   [--root <dir>] [--baseline <file>] [--current <file>] [--out <file>]
 //!                        [--print-baseline]
@@ -22,12 +21,11 @@
 //! A008 inventory of scope-local (arena-able) allocations in hot-entry
 //! reach — conversion candidates, not findings.
 //!
-//! `modelcheck` exhaustively enumerates the Selector/Validator
-//! coordination loop over small fleet models (see
+//! `modelcheck` drives fleetd's own coordinator through every bounded
+//! environment behaviour of small fleets (see
 //! [`anubis_xtask::modelcheck`]) and exits `1` with a printed
 //! counterexample trace when a liveness/safety property is violated; the
-//! trace is also written to `--out` for CI artifacts. `--bug` injects a
-//! known coordinator defect to demonstrate the failure path.
+//! trace is also written to `--out` for CI artifacts.
 //!
 //! `profile` summarizes an `anubis-obs` trace (the repro binary's
 //! `--trace` output, default `target/trace.jsonl`): top-k hot spans by
@@ -40,7 +38,6 @@
 //! `BENCH_2.json`, writes `target/BENCH_CURRENT.json` for CI artifacts,
 //! and exits `1` when a tracked kernel regressed beyond the tolerance.
 
-use anubis_lifecycle::CoordinatorBugs;
 use anubis_xtask::model::Workspace;
 use anubis_xtask::modelcheck as mc;
 use anubis_xtask::passes::{run_analysis, AnalysisConfig};
@@ -52,7 +49,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: cargo xtask <analyze|modelcheck|profile|perfgate>\n  \
 analyze    [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline] [--arena-report]\n  \
-modelcheck [--out <file>] [--threads <n>] [--bug <forget-risk|validate-busy|ignore-floor>]\n  \
+modelcheck [--out <file>] [--threads <n>]\n  \
 profile    [<trace.jsonl>] [--top <n>]\n  \
 perfgate   [--root <dir>] [--baseline <file>] [--current <file>] [--out <file>] [--print-baseline]";
 
@@ -236,7 +233,6 @@ fn analyze(args: &[String]) -> ExitCode {
 fn modelcheck(args: &[String]) -> ExitCode {
     let mut out_path: Option<PathBuf> = None;
     let mut threads = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    let mut bugs = CoordinatorBugs::default();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         match flag.as_str() {
@@ -248,12 +244,6 @@ fn modelcheck(args: &[String]) -> ExitCode {
                 Some(value) if value > 0 => threads = value,
                 _ => return usage_error(flag),
             },
-            "--bug" => match iter.next().map(String::as_str) {
-                Some("forget-risk") => bugs.forget_pending_risk = true,
-                Some("validate-busy") => bugs.validate_while_busy = true,
-                Some("ignore-floor") => bugs.ignore_capacity_floor = true,
-                _ => return usage_error(flag),
-            },
             _ => return usage_error(flag),
         }
     }
@@ -261,7 +251,7 @@ fn modelcheck(args: &[String]) -> ExitCode {
         out_path.unwrap_or_else(|| default_root().join("target").join("modelcheck-trace.txt"));
 
     let grid = mc::default_grid();
-    let results = match mc::check_grid(&grid, bugs, threads) {
+    let results = match mc::check_grid(&grid, mc::SHIPPED, threads) {
         Ok(results) => results,
         Err(error) => {
             eprintln!("modelcheck failed: {error}");

@@ -53,6 +53,7 @@ pub const GATED_CRATES: &[&str] = &[
     "hwsim",
     "netsim",
     "lifecycle",
+    "fleetd",
 ];
 
 /// One analysis finding.

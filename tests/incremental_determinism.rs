@@ -1,15 +1,12 @@
-//! Incremental-vs-batch determinism for the experiment harness: the
-//! incremental statistical core (CELF selection, warm-start Cox-Time,
-//! cached criteria) must render byte-identical output with the
-//! `ANUBIS_INCREMENTAL` toggle on or off, at any worker count. The whole
-//! check lives in a single `#[test]` (its own binary) so the env-var
-//! mutations can never race another test.
+//! Thread-count determinism of the incremental statistical core: table3
+//! (the staged warm-start Cox-Time trainer) and fig8 (CELF selection
+//! inside the cluster simulation) must render byte-identical output at 1
+//! and 4 workers. The whole check lives in a single `#[test]` (its own
+//! binary) so the env-var mutations can never race another test.
 
 use anubis_bench::experiments::{fig8, table3};
 
-/// Renders table3 (warm-start Cox-Time trainer vs cold fit) and fig8
-/// (CELF vs eager selection inside the cluster simulation) under the
-/// current env configuration.
+/// Renders table3 and fig8 under the current `ANUBIS_THREADS`.
 fn render_both() -> (String, String) {
     let t3 = table3::run(&table3::Table3Config::quick()).to_string();
     let f8 = fig8::run(&fig8::Fig8Config::quick()).to_string();
@@ -17,40 +14,18 @@ fn render_both() -> (String, String) {
 }
 
 #[test]
-fn rendered_output_is_identical_with_incrementality_on_or_off() {
-    // Batch reference at one worker.
+fn incremental_core_renders_identically_across_thread_counts() {
     std::env::set_var("ANUBIS_THREADS", "1");
-    std::env::set_var("ANUBIS_INCREMENTAL", "0");
-    let (table3_batch, fig8_batch) = render_both();
-
-    // Every other (incremental, threads) combination must reproduce the
-    // batch rendering byte for byte.
-    for threads in ["1", "4"] {
-        std::env::set_var("ANUBIS_THREADS", threads);
-        std::env::set_var("ANUBIS_INCREMENTAL", "1");
-        let (t3, f8) = render_both();
-        assert_eq!(
-            table3_batch, t3,
-            "table3 must render identically with incrementality on at {threads} workers"
-        );
-        assert_eq!(
-            fig8_batch, f8,
-            "fig8 must render identically with incrementality on at {threads} workers"
-        );
-    }
-
-    // Batch at 4 workers closes the square.
+    let (table3_one, fig8_one) = render_both();
     std::env::set_var("ANUBIS_THREADS", "4");
-    std::env::set_var("ANUBIS_INCREMENTAL", "0");
-    let (t3, f8) = render_both();
+    let (table3_four, fig8_four) = render_both();
     std::env::remove_var("ANUBIS_THREADS");
-    std::env::remove_var("ANUBIS_INCREMENTAL");
     assert_eq!(
-        table3_batch, t3,
-        "table3 must render identically in batch mode at 4 workers"
+        table3_one, table3_four,
+        "table3 must render identically at 1 and 4 workers"
     );
     assert_eq!(
-        fig8_batch, f8,
-        "fig8 must render identically in batch mode at 4 workers"
+        fig8_one, fig8_four,
+        "fig8 must render identically at 1 and 4 workers"
     );
 }
