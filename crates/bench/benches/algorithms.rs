@@ -152,20 +152,17 @@ fn bench_coxtime(c: &mut Criterion) {
         },
     )
     .expect("incident trace contains events");
-    // One full training epoch (forward + backward + optimizer) over the
-    // trace, exercising the chunk-parallel gradient path end to end.
-    for threads in [1usize, 8] {
-        let config = CoxTimeConfig {
-            epochs: 1,
-            hidden: vec![32, 32],
-            baseline_buckets: 16,
-            threads,
-            ..Default::default()
-        };
-        c.bench_function(&format!("coxtime/fit-epoch/{threads}threads"), |bencher| {
-            bencher.iter(|| black_box(CoxTimeModel::fit(black_box(&samples), &config)));
-        });
-    }
+    // A one-epoch fit (forward + backward + optimizer over the trace, then
+    // the Breslow baseline) at the default thread count.
+    let config = CoxTimeConfig {
+        epochs: 1,
+        hidden: vec![32, 32],
+        baseline_buckets: 16,
+        ..Default::default()
+    };
+    c.bench_function("coxtime/fit-epoch", |bencher| {
+        bencher.iter(|| black_box(CoxTimeModel::fit(black_box(&samples), &config)));
+    });
     // Warm-start refit: a trained trainer absorbs a small delta of new
     // intervals and runs one more epoch, vs re-fitting from scratch.
     let (base, delta) = samples.split_at(samples.len() - samples.len() / 16);
@@ -237,6 +234,19 @@ fn bench_executor(c: &mut Criterion) {
             |mut nodes| black_box(run_set_parallel(&set, &mut nodes, 8).unwrap()),
             BatchSize::SmallInput,
         );
+    });
+    // fleetd's per-tick executor shape: one no-op call over 8 one-item
+    // chunks at the default thread count. A per-call thread spawn would
+    // show here as a tenfold jump.
+    let mut shards = [0u64; 8];
+    c.bench_function("executor/noop-call/8chunks", |bencher| {
+        bencher.iter(|| {
+            anubis_parallel::map_chunks_mut(black_box(&mut shards), 1, 0, |i, chunk| {
+                for shard in chunk {
+                    *shard = black_box(i as u64);
+                }
+            });
+        });
     });
 }
 

@@ -16,9 +16,10 @@
 //!   sanctioned `Instant` facade (the root `clippy.toml` bans
 //!   `Instant`/`SystemTime` everywhere else).
 //! * State is thread-local and recording must be enabled per thread, so
-//!   worker threads spawned by `anubis-parallel` never record. The
-//!   executor's inline (single-worker) path additionally holds a
-//!   [`suppress`] guard, making traces *byte-identical at any
+//!   the helper threads of `anubis-parallel`'s pool never record. The
+//!   calling thread runs one bucket of every executor call itself (and
+//!   all of it on the single-worker and nested paths), always under a
+//!   [`suppress`] guard. That makes traces *byte-identical at any
 //!   `ANUBIS_THREADS` value by construction*: work routed through the
 //!   executor is invisible to the trace no matter where it ran.
 //! * [`Trace::to_jsonl`](trace::Trace::to_jsonl) renders counters and
@@ -216,10 +217,11 @@ pub fn time() -> f64 {
 
 /// RAII guard suppressing recording on this thread while alive.
 ///
-/// Used by `anubis-parallel` on its inline execution path so that work
-/// which *may* run on a worker thread (where recording is never enabled)
-/// is equally invisible when it happens to run on the caller's thread —
-/// the trace cannot depend on the resolved thread count.
+/// Used by `anubis-parallel` wherever executor work runs on the calling
+/// thread, so that work which *may* run on a pool helper (where
+/// recording is never enabled) is equally invisible when it runs on the
+/// caller's thread — the trace cannot depend on the resolved thread
+/// count.
 pub struct SuppressGuard(());
 
 impl Drop for SuppressGuard {

@@ -18,11 +18,29 @@
 //!
 //! Under this contract `threads = 1`, `threads = 8`, and
 //! `ANUBIS_THREADS=3` all produce bit-identical results; the property
-//! tests in `tests/proptests.rs` pin that down. The same invariance
-//! extends to `anubis-obs` traces: work dispatched through the executor
-//! never records (worker threads have no recorder enabled, and the inline
-//! single-worker path holds an `anubis_obs::suppress` guard), so a trace's
-//! bytes are independent of the thread count too.
+//! tests in `tests/proptests.rs` pin that down.
+//!
+//! # Scheduling
+//!
+//! A call with `w` workers deals its tasks cyclically into `w` buckets
+//! (task `i` to bucket `i mod w`). The calling thread runs bucket 0
+//! itself; buckets `1..w` go to helper threads from the caller's
+//! persistent pool. Each thread that calls the executor lazily owns its
+//! own pool, grown to `threads − 1` parked helpers named
+//! `anubis-worker-{i}` on first use and joined when that thread exits, so
+//! a service loop pays a wake-up per call, not a thread spawn. Idle
+//! helpers block on a condition variable and never spin.
+//!
+//! An executor call made from inside executor work — on a helper, or in
+//! the caller's own bucket — runs inline on that thread, in task order.
+//! Nested fan-outs (fig8's policies, each running a Selector that calls
+//! the executor again) therefore never oversubscribe the host.
+//!
+//! The same invariance extends to `anubis-obs` traces: executor work
+//! never records. Helpers never enable a recorder, and the caller's
+//! bucket (like the inline single-worker path) runs under an
+//! `anubis_obs::suppress` guard, so a trace's bytes are independent of
+//! the thread count too.
 //!
 //! # Examples
 //!
@@ -39,6 +57,7 @@
 //! assert_eq!(squares.len(), 8); // ceil(1000 / 128) chunk results, in chunk order
 //! ```
 
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 /// Hard cap on worker threads; fleets of simulated nodes parallelize well
@@ -54,23 +73,18 @@ pub const THREADS_ENV: &str = "ANUBIS_THREADS";
 /// name stays because perfbench's run header still prints the variable.
 pub const INCREMENTAL_ENV: &str = "ANUBIS_INCREMENTAL";
 
-/// Workloads at or below this many chunks bypass the thread pool: on a
-/// 1–2 chunk workload the spawn/join overhead costs more than the
-/// parallelism buys (the fig4 run-time regression recorded in
-/// BENCH_2.json). Routing them through the inline path changes nothing
-/// but wall-clock time — the executor is bit-deterministic at any worker
-/// count, including 1.
-pub const SERIAL_CHUNK_CUTOFF: usize = 2;
-
 /// Worker-thread count from [`THREADS_ENV`], defaulting to the machine's
 /// available parallelism, clamped to `1..=16`.
 ///
 /// Only wall-clock time depends on this; every executor entry point is
-/// bit-deterministic across thread counts.
+/// bit-deterministic across thread counts. The environment is read on
+/// every call; the hardware default is probed once per process, because
+/// the probe reads cgroup files and costs more than a pooled call.
 pub fn auto_threads() -> usize {
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
     let configured = anubis_config::parsed::<usize>(THREADS_ENV).unwrap_or(0);
     let threads = if configured == 0 {
-        thread::available_parallelism().map_or(1, usize::from)
+        *HARDWARE.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
     } else {
         configured
     };
@@ -98,12 +112,11 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let workers = resolve_threads(threads).min(tasks.len());
-    if workers <= 1 {
-        // The inline path must look exactly like worker execution to the
-        // observability layer: `anubis-obs` recording is thread-local and
-        // only ever enabled on the coordinating thread, so worker threads
-        // never record — suppressing here keeps trace content independent
-        // of the resolved worker count.
+    if workers <= 1 || pool::inside() {
+        // One worker, or a call nested inside executor work: run inline.
+        // The guard makes this path as invisible to `anubis-obs` as a
+        // helper thread, which never records, so trace content does not
+        // depend on the resolved worker count.
         let _quiet = anubis_obs::suppress();
         return tasks
             .into_iter()
@@ -111,44 +124,54 @@ where
             .map(|(i, t)| run(i, t))
             .collect();
     }
-    let mut buckets: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut buckets: Vec<Mutex<Bucket<T, R>>> = (0..workers)
+        .map(|_| Mutex::new(Bucket::Tasks(Vec::new())))
+        .collect();
     // Task `i` goes to worker `i % workers`.
     for (task, worker) in tasks.into_iter().enumerate().zip((0..workers).cycle()) {
-        if let Some(bucket) = buckets.get_mut(worker) {
+        if let Some(Bucket::Tasks(bucket)) = buckets
+            .get_mut(worker)
+            .map(|cell| cell.get_mut().unwrap_or_else(PoisonError::into_inner))
+        {
             bucket.push(task);
         }
     }
-    let run = &run;
-    let mut tagged: Vec<(usize, R)> = Vec::new();
-    let mut panic_payload = None;
-    // The executor is the one sanctioned owner of raw threads.
-    #[allow(clippy::disallowed_methods)]
-    thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                scope.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|(i, task)| (i, run(i, task)))
-                        .collect::<Vec<(usize, R)>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(pairs) => tagged.extend(pairs),
-                Err(payload) => panic_payload = Some(payload),
-            }
+    let run_bucket = |worker: usize| {
+        let Some(cell) = buckets.get(worker) else {
+            return;
+        };
+        let taken = std::mem::replace(&mut *lock(cell), Bucket::Done(Vec::new()));
+        if let Bucket::Tasks(tasks) = taken {
+            let done = tasks.into_iter().map(|(i, t)| (i, run(i, t))).collect();
+            *lock(cell) = Bucket::Done(done);
         }
-    });
-    if let Some(payload) = panic_payload {
-        // Re-raise the worker's panic on the caller thread (the scope has
-        // already joined every other worker).
-        std::panic::resume_unwind(payload);
-    }
+    };
+    pool::dispatch(workers, &run_bucket);
+    let mut tagged: Vec<(usize, R)> = buckets
+        .into_iter()
+        .filter_map(
+            |cell| match cell.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                Bucket::Done(pairs) => Some(pairs),
+                Bucket::Tasks(_) => None,
+            },
+        )
+        .flatten()
+        .collect();
     tagged.sort_unstable_by_key(|(i, _)| *i);
     tagged.into_iter().map(|(_, r)| r).collect()
+}
+
+/// One worker's share of an [`execute`] call: its tasks until it runs,
+/// then their results tagged with task indices.
+enum Bucket<T, R> {
+    Tasks(Vec<(usize, T)>),
+    Done(Vec<(usize, R)>),
+}
+
+/// Locks `mutex`, recovering the data if a panicking thread poisoned it:
+/// every critical section here is a plain move, so the data is whole.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Splits `items` into chunks of `chunk_size` (the last may be shorter),
@@ -164,18 +187,7 @@ where
     F: Fn(usize, &[T]) -> R + Sync,
 {
     let tasks: Vec<&[T]> = items.chunks(chunk_size.max(1)).collect();
-    let threads = serial_below_cutoff(tasks.len(), threads);
     execute(tasks, threads, f)
-}
-
-/// Forces the inline path for tiny chunked workloads (see
-/// [`SERIAL_CHUNK_CUTOFF`]).
-fn serial_below_cutoff(chunk_count: usize, threads: usize) -> usize {
-    if chunk_count <= SERIAL_CHUNK_CUTOFF {
-        1
-    } else {
-        threads
-    }
 }
 
 /// [`map_chunks`] over mutable chunks: each worker owns a disjoint
@@ -188,7 +200,6 @@ where
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
     let tasks: Vec<&mut [T]> = items.chunks_mut(chunk_size.max(1)).collect();
-    let threads = serial_below_cutoff(tasks.len(), threads);
     execute(tasks, threads, f)
 }
 
@@ -240,6 +251,230 @@ where
 {
     let partials = map_chunks(items, chunk_size, threads, map);
     partials.into_iter().reduce(fold)
+}
+
+/// The per-caller persistent worker pool behind [`execute`].
+mod pool {
+    use super::lock;
+    use std::any::Any;
+    use std::cell::{Cell, RefCell};
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::{Arc, Condvar, Mutex, PoisonError};
+    use std::thread::{self, JoinHandle};
+
+    /// One call's work: runs the bucket with the given index.
+    type Job<'a> = dyn Fn(usize) + Sync + 'a;
+
+    thread_local! {
+        /// Set for the whole life of a helper, and on a caller while it
+        /// runs its own bucket: executor calls made there run inline.
+        static INSIDE: Cell<bool> = const { Cell::new(false) };
+        /// This thread's helpers, spawned on first use and joined when
+        /// the thread exits.
+        static POOL: RefCell<Pool> = RefCell::new(Pool::default());
+    }
+
+    /// Whether this thread is running executor work.
+    pub(super) fn inside() -> bool {
+        INSIDE.try_with(Cell::get).unwrap_or(true)
+    }
+
+    /// Runs `job(0)` up to `job(buckets - 1)` and returns once every one
+    /// has finished. Bucket 0 runs on this thread; the rest run on this
+    /// thread's helpers (or here too, if a helper could not be spawned).
+    /// A panic in any bucket is re-raised here.
+    pub(super) fn dispatch(buckets: usize, job: &Job<'_>) {
+        let pooled = POOL.try_with(|cell| match cell.try_borrow_mut() {
+            Ok(mut pool) => {
+                pool.run(buckets, job);
+                true
+            }
+            Err(_) => false,
+        });
+        if pooled != Ok(true) {
+            run_here(0..buckets, job);
+        }
+    }
+
+    /// Runs `range` of `job`'s buckets on this thread, invisible to
+    /// `anubis-obs` and with nested executor calls inline.
+    fn run_here(range: std::ops::Range<usize>, job: &Job<'_>) {
+        let _inside = Inside::enter();
+        let _quiet = anubis_obs::suppress();
+        for bucket in range {
+            job(bucket);
+        }
+    }
+
+    /// Marks this thread as inside executor work until dropped, unwinding
+    /// included.
+    struct Inside(bool);
+
+    impl Inside {
+        fn enter() -> Self {
+            Self(INSIDE.try_with(|flag| flag.replace(true)).unwrap_or(true))
+        }
+    }
+
+    impl Drop for Inside {
+        fn drop(&mut self) {
+            let previous = self.0;
+            let _ = INSIDE.try_with(|flag| flag.set(previous));
+        }
+    }
+
+    /// What a caller and its helpers share.
+    #[derive(Default)]
+    struct Shared {
+        state: Mutex<State>,
+        /// Wakes helpers: a call was posted, or the pool is closing.
+        posted: Condvar,
+        /// Wakes the caller: the call's last helper bucket finished.
+        done: Condvar,
+    }
+
+    #[derive(Default)]
+    struct State {
+        /// Numbers the posted calls, so a helper runs each one once.
+        call: u64,
+        /// The current call's job, `None` once it has finished.
+        job: Option<&'static Job<'static>>,
+        /// Buckets of the current call handed to helpers: `1..=helpers`.
+        helpers: usize,
+        /// Helper buckets of the current call not yet finished.
+        pending: usize,
+        /// The first panic a helper caught in the current call.
+        panic: Option<Box<dyn Any + Send>>,
+        closing: bool,
+    }
+
+    impl Shared {
+        /// Blocks until every helper bucket of the current call has
+        /// finished, then retires the call's job.
+        fn wait_done(&self) {
+            let mut state = lock(&self.state);
+            while state.pending > 0 {
+                state = self
+                    .done
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            state.job = None;
+        }
+    }
+
+    /// Blocks the dispatching frame on drop until every helper is done
+    /// with the call's job, so the borrowed job outlives all its uses
+    /// even when the caller's own bucket unwinds.
+    struct WaitGuard<'s>(&'s Shared);
+
+    impl Drop for WaitGuard<'_> {
+        fn drop(&mut self) {
+            self.0.wait_done();
+        }
+    }
+
+    #[derive(Default)]
+    struct Pool {
+        shared: Arc<Shared>,
+        helpers: Vec<JoinHandle<()>>,
+    }
+
+    impl Pool {
+        /// Spawns helpers until there are `n`; returns how many exist up
+        /// to `n` (fewer only if the OS refused a thread).
+        fn grow(&mut self, n: usize) -> usize {
+            while self.helpers.len() < n {
+                let bucket = self.helpers.len() + 1;
+                let shared = Arc::clone(&self.shared);
+                let name = format!("anubis-worker-{bucket}");
+                let Ok(handle) = spawn_named(name, move || serve(&shared, bucket)) else {
+                    break;
+                };
+                self.helpers.push(handle);
+            }
+            self.helpers.len().min(n)
+        }
+
+        fn run(&mut self, buckets: usize, job: &Job<'_>) {
+            let helpers = self.grow(buckets.saturating_sub(1));
+            // SAFETY: only the lifetime is erased. `job` outlives this
+            // frame, and `wait` blocks this frame's exit, on return and on
+            // unwinding alike, until every helper that can see the job has
+            // counted `pending` down after its last use of it; then the
+            // job is retired from the shared state. Helpers catch their
+            // own panics, so each one always counts down.
+            let job_static: &'static Job<'static> =
+                unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(job) };
+            {
+                let mut state = lock(&self.shared.state);
+                state.call = state.call.wrapping_add(1);
+                state.job = Some(job_static);
+                state.helpers = helpers;
+                state.pending = helpers;
+                state.panic = None;
+            }
+            let wait = WaitGuard(&self.shared);
+            self.shared.posted.notify_all();
+            run_here(0..1, job);
+            run_here(helpers + 1..buckets, job);
+            drop(wait);
+            if let Some(payload) = lock(&self.shared.state).panic.take() {
+                panic::resume_unwind(payload);
+            }
+        }
+    }
+
+    impl Drop for Pool {
+        fn drop(&mut self) {
+            lock(&self.shared.state).closing = true;
+            self.shared.posted.notify_all();
+            for helper in self.helpers.drain(..) {
+                let _ = helper.join();
+            }
+        }
+    }
+
+    /// Spawns a named thread. The executor is the one sanctioned owner of
+    /// raw threads, and this is its one spawn site.
+    pub(super) fn spawn_named<T, F>(name: String, body: F) -> std::io::Result<JoinHandle<T>>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        #[allow(clippy::disallowed_methods)]
+        thread::Builder::new().name(name).spawn(body)
+    }
+
+    /// A helper's life: park until a call is posted, run its bucket if
+    /// the call has one for it, count down, repeat until the pool closes.
+    fn serve(shared: &Shared, bucket: usize) {
+        let _inside = Inside::enter();
+        let mut seen = 0;
+        let mut state = lock(&shared.state);
+        while !state.closing {
+            if state.call != seen {
+                seen = state.call;
+                if let Some(job) = state.job.filter(|_| bucket <= state.helpers) {
+                    drop(state);
+                    let outcome = panic::catch_unwind(AssertUnwindSafe(|| job(bucket)));
+                    state = lock(&shared.state);
+                    state.pending = state.pending.saturating_sub(1);
+                    if state.panic.is_none() {
+                        state.panic = outcome.err();
+                    }
+                    if state.pending == 0 {
+                        shared.done.notify_one();
+                    }
+                    continue;
+                }
+            }
+            state = shared
+                .posted
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -323,19 +558,29 @@ mod tests {
     }
 
     #[test]
-    fn tiny_workloads_match_at_any_thread_count() {
-        // At or below the serial cutoff the pool is bypassed; results are
-        // identical either way (the contract), so only pin the behavior.
-        let items: Vec<f64> = (0..7).map(f64::from).collect();
-        let reference = map_chunks(&items, 4, 1, |_, c| c.iter().sum::<f64>());
-        for threads in [2, 8, 16] {
-            assert_eq!(
-                reference,
-                map_chunks(&items, 4, threads, |_, c| c.iter().sum::<f64>())
-            );
+    fn concurrent_callers_each_get_correct_results() {
+        // Four callers, each with its own pool, released together so
+        // their calls overlap.
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let callers: Vec<_> = (0..4u64)
+            .map(|k| {
+                let start = std::sync::Arc::clone(&start);
+                pool::spawn_named(format!("caller-{k}"), move || {
+                    let items: Vec<u64> = (0..500).map(|i| i * (k + 1)).collect();
+                    let expected: Vec<u64> = items.chunks(16).map(|c| c.iter().sum()).collect();
+                    start.wait();
+                    (0..200).all(|_| {
+                        map_chunks(&items, 16, 4, |_, c| c.iter().sum::<u64>()) == expected
+                    })
+                })
+            })
+            .collect();
+        for caller in callers {
+            assert!(caller
+                .expect("spawn caller")
+                .join()
+                .expect("caller panicked"));
         }
-        assert_eq!(serial_below_cutoff(SERIAL_CHUNK_CUTOFF, 8), 1);
-        assert_eq!(serial_below_cutoff(SERIAL_CHUNK_CUTOFF + 1, 8), 8);
     }
 
     #[test]

@@ -133,7 +133,7 @@ fn disallowed_lint_exemptions_are_exactly_the_sanctioned_sites() {
         "crates/nn/tests/timing.rs",
         // The `wallclock` timing facade.
         "crates/obs/src/wall.rs",
-        // The deterministic executor's `thread::scope`.
+        // The deterministic executor's pool spawn (`thread::Builder::spawn`).
         "crates/parallel/src/lib.rs",
     ];
     let expected: Vec<(String, usize)> = sanctioned.iter().map(|p| ((*p).to_owned(), 1)).collect();
