@@ -34,7 +34,7 @@ ANUBIS_BENCH_QUICK=1 ANUBIS_BENCH_JSON="$(pwd)/target/bench-current.jsonl" \
     cargo bench -p anubis-bench --offline -- \
     cdf_distance one_sided_distance criteria/algorithm2 criteria/incremental \
     selection/algorithm1 selection/celf coxtime/expected_tbni \
-    coxtime/incident_probability coxtime/warmstart scan/full json/serialize \
+    coxtime/incident_probability coxtime/warmstart coxtime/finish scan/full json/serialize \
     fleetd/tick fleetd/merge fleetd/criteria executor/noop-call
 # The analyzer's own fixpoint engine is a tracked kernel too.
 ANUBIS_BENCH_QUICK=1 ANUBIS_BENCH_JSON="$(pwd)/target/bench-current.jsonl" \

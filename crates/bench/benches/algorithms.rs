@@ -181,6 +181,15 @@ fn bench_coxtime(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+    // The Breslow baseline of a trained default-width ([32, 32]) trainer
+    // over 96 buckets: one forward pass per risk-set member of every
+    // bucket, in row blocks, at the default thread count.
+    let mut trained = CoxTimeTrainer::new(CoxTimeConfig::default());
+    trained.ingest(&samples);
+    trained.train(1).expect("incident trace contains events");
+    c.bench_function("coxtime/finish", |bencher| {
+        bencher.iter(|| black_box(trained.finish().unwrap()));
+    });
     let status = samples[0].status;
     c.bench_function("coxtime/expected_tbni", |bencher| {
         bencher.iter(|| black_box(model.expected_tbni(black_box(&status))));

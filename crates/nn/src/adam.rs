@@ -114,7 +114,7 @@ impl Adam {
             }
             offset += count;
         }
-        mlp.refresh_transposed();
+        mlp.refresh_layouts();
     }
 
     /// Number of optimizer steps applied so far.

@@ -6,7 +6,8 @@
 //! from-scratch, dependency-free MLP:
 //!
 //! - [`Mlp`]: dense layers with configurable activations, manual
-//!   backpropagation;
+//!   backpropagation, and row-blocked forward/backward kernels that are
+//!   bit-identical to the per-row passes;
 //! - [`Adam`]: the Adam optimizer over the flattened parameter vector;
 //! - [`Gradients`]: a parameter-shaped gradient accumulator so callers can
 //!   average gradients over mini-batches or custom losses (the Cox partial
@@ -20,5 +21,5 @@ pub mod mlp;
 pub mod scaler;
 
 pub use adam::Adam;
-pub use mlp::{Activation, BackwardScratch, ForwardCache, Gradients, Mlp};
+pub use mlp::{Activation, BackwardScratch, BlockCache, ForwardCache, Gradients, Mlp};
 pub use scaler::StandardScaler;

@@ -4,6 +4,13 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// Lane width of the block kernels' register tiles (see [`dot_tile`]).
+const LANES: usize = 8;
+
+/// Rows of the block kernels' register tiles: input rows per tile of
+/// [`matmul_rows`], output neurons per tile of the weight gradient.
+const TILE: usize = 4;
+
 /// Activation function applied element-wise after a dense layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
@@ -16,7 +23,10 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, x: f64) -> f64 {
+    /// `f(x)`. Named apart from the workspace's `apply` methods: the
+    /// analyzer's call graph links calls by name, and a shared name would
+    /// tie the allocation-free block kernels to allocating code.
+    fn evaluate(self, x: f64) -> f64 {
         match self {
             Self::Identity => x,
             Self::Tanh => crate::fastmath::tanh(x),
@@ -44,18 +54,30 @@ impl Activation {
 /// One dense layer: `y = f(W x + b)` with `W` stored row-major
 /// (`outputs × inputs`).
 ///
-/// `weights_t` mirrors `weights` column-major (`inputs × outputs`) so the
-/// forward mat-vec can walk output neurons contiguously; it is derived
-/// state, refreshed by [`Mlp::for_each_parameter`] — the only place
-/// parameters mutate — and never read by the backward pass.
+/// `layouts` holds the weights again in the orders the kernels read them:
+/// derived state, refreshed by [`Mlp::for_each_parameter`] — the only
+/// place parameters mutate.
 #[derive(Debug, Clone)]
 struct Layer {
     weights: Vec<f64>,
-    weights_t: Vec<f64>,
+    layouts: WeightLayouts,
     biases: Vec<f64>,
     inputs: usize,
     outputs: usize,
     activation: Activation,
+}
+
+/// A layer's weights `W` in the orders its kernels read them.
+#[derive(Debug, Clone, Default)]
+struct WeightLayouts {
+    /// `Wᵀ` row-major (`inputs × outputs`), so the per-row forward mat-vec
+    /// walks output neurons contiguously.
+    transposed: Vec<f64>,
+    /// `Wᵀ` in the panel layout of [`to_panels`]: the block forward pass.
+    panels: Vec<f64>,
+    /// `W` in the panel layout of [`to_panels`]: the block backward
+    /// pass's input-delta product.
+    panels_t: Vec<f64>,
 }
 
 impl Layer {
@@ -73,14 +95,19 @@ impl Layer {
         // are bit-identical; the elementwise inner loop merely lets the
         // independent per-neuron chains run as SIMD lanes.
         for (i, &xi) in x.iter().enumerate() {
-            let col = &self.weights_t[i * m..(i + 1) * m];
+            let col = &self.layouts.transposed[i * m..(i + 1) * m];
             for (acc, &w) in out.iter_mut().zip(col) {
                 *acc += w * xi;
             }
         }
-        // Bias + activation as a second pass: each neuron's value and op
-        // sequence is unchanged, but batching the (branch-heavy, division-
-        // bound) tanh calls lets them run through the four-lane kernel.
+        self.activate(out);
+    }
+
+    /// Bias + activation over one row of weighted sums, as a second pass:
+    /// each neuron's value and op sequence is unchanged, but batching the
+    /// (branch-heavy, division-bound) tanh calls lets them run through the
+    /// four-lane kernel.
+    fn activate(&self, out: &mut [f64]) {
         match self.activation {
             Activation::Tanh => {
                 for (acc, &b) in out.iter_mut().zip(&self.biases) {
@@ -90,20 +117,225 @@ impl Layer {
             }
             act => {
                 for (acc, &b) in out.iter_mut().zip(&self.biases) {
-                    *acc = act.apply(*acc + b);
+                    *acc = act.evaluate(*acc + b);
                 }
             }
         }
     }
 
-    /// Rebuilds the column-major weight mirror from the row-major source.
-    fn refresh_transposed(&mut self) {
-        self.weights_t.resize(self.weights.len(), 0.0);
-        for o in 0..self.outputs {
-            let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
-            for (i, &w) in row.iter().enumerate() {
-                self.weights_t[i * self.outputs + o] = w;
+    /// Backpropagates the row-major `delta` (`rows × outputs`, ∂loss/∂y on
+    /// entry) of the block's `input` and `output` rows through this layer,
+    /// **adding** the parameter gradients into `w_grad`/`b_grad`. With
+    /// `NEXT`, `delta` leaves holding ∂loss/∂input (`rows × inputs`).
+    ///
+    /// Every product is the one [`Mlp::backward`] forms. Each weight
+    /// gradient starts from its accumulated value and adds its rows'
+    /// `δ[o]·x[i]` in row order; each input delta sums `δ[o]·w[o][i]` in
+    /// ascending `o` from `0.0`. Both are [`dot_tile`] reductions, so the
+    /// per-row op sequence — and every bit — is unchanged.
+    fn backward_rows<const NEXT: bool>(
+        &self,
+        rows: usize,
+        input: &[f64],
+        output: &[f64],
+        w_grad: &mut [f64],
+        b_grad: &mut [f64],
+        scratch: &mut BackwardScratch,
+    ) {
+        let (n, m) = (self.inputs, self.outputs);
+        let BackwardScratch {
+            delta,
+            next,
+            delta_p,
+            input_p,
+            tile,
+        } = scratch;
+        // δ ← δ ⊙ f'(z), expressed through the activated outputs.
+        for (d, &y) in delta.iter_mut().zip(output) {
+            *d *= self.activation.derivative_from_output(y);
+        }
+        for row in delta.chunks_exact(m) {
+            for (b, &d) in b_grad.iter_mut().zip(row) {
+                *b += d;
             }
+        }
+        // ∂W += δᵀ·x: tiles of TILE neurons × LANES inputs, each
+        // reducing over the block's rows.
+        to_panels::<TILE>(delta, m, rows, delta_p);
+        to_panels::<LANES>(input, n, rows, input_p);
+        let full = m / TILE * TILE;
+        let (d_head, d_tail) = delta_p.split_at_checked(full * rows).unwrap_or_default();
+        let mut g_tiles = w_grad.chunks_exact_mut(TILE * n);
+        for (g, d) in (&mut g_tiles).zip(d_head.chunks_exact(TILE * rows)) {
+            grad_rows::<TILE>(g, n, rows, input_p, d);
+        }
+        let g_rest = g_tiles.into_remainder().chunks_exact_mut(n);
+        for (g, d) in g_rest.zip(d_tail.chunks_exact(rows)) {
+            grad_rows::<1>(g, n, rows, input_p, d);
+        }
+        if NEXT {
+            // ∂x = δ·W: the forward product over `W` in place of `Wᵀ`.
+            next.clear();
+            next.resize(rows * n, 0.0);
+            matmul_rows(&self.layouts.panels_t, m, n, delta, tile, next);
+            std::mem::swap(delta, next);
+        }
+    }
+
+    /// Rebuilds every derived weight layout from the row-major source.
+    fn refresh_layouts(&mut self) {
+        let (n, m) = (self.inputs, self.outputs);
+        let layouts = &mut self.layouts;
+        layouts.transposed.resize(self.weights.len(), 0.0);
+        for o in 0..m {
+            let row = &self.weights[o * n..(o + 1) * n];
+            for (i, &w) in row.iter().enumerate() {
+                layouts.transposed[i * m + o] = w;
+            }
+        }
+        to_panels::<LANES>(&layouts.transposed, m, n, &mut layouts.panels);
+        to_panels::<LANES>(&self.weights, n, m, &mut layouts.panels_t);
+    }
+}
+
+/// `out = x·Vᵀ` for the row-major `rows × k` matrix `x`, where `panels`
+/// is `Vᵀ` (`k × width`) in the panel layout of [`to_panels`]: every
+/// output element sums its `k` products in ascending order from `0.0`.
+///
+/// Rows go through in tiles of [`TILE`], transposed into `tile`, so
+/// each panel row is loaded once per tile instead of once per row.
+fn matmul_rows(
+    panels: &[f64],
+    k: usize,
+    width: usize,
+    x: &[f64],
+    tile: &mut Vec<f64>,
+    out: &mut [f64],
+) {
+    let tiles = x.chunks(TILE * k).zip(out.chunks_mut(TILE * width));
+    for (x, out) in tiles {
+        // One arm per tile height up to `TILE`; only the last tile of a
+        // block can be short.
+        match x.chunks_exact(k).len() {
+            4 => matmul_tile::<4>(panels, k, width, x, tile, out),
+            3 => matmul_tile::<3>(panels, k, width, x, tile, out),
+            2 => matmul_tile::<2>(panels, k, width, x, tile, out),
+            _ => matmul_tile::<1>(panels, k, width, x, tile, out),
+        }
+    }
+}
+
+/// One `R`-row tile of [`matmul_rows`].
+fn matmul_tile<const R: usize>(
+    panels: &[f64],
+    k: usize,
+    width: usize,
+    x: &[f64],
+    tile: &mut Vec<f64>,
+    out: &mut [f64],
+) {
+    tile.clear();
+    tile.resize(k * R, 0.0);
+    for (r, row) in x.chunks_exact(k).enumerate() {
+        for (dst, &v) in tile.iter_mut().skip(r).step_by(R).zip(row) {
+            *dst = v;
+        }
+    }
+    let full = width / LANES * LANES;
+    let (head, tail) = panels.split_at_checked(full * k).unwrap_or_default();
+    for (j, panel) in head.chunks_exact(k * LANES).enumerate() {
+        let acc = dot_tile::<R, LANES>([[0.0; LANES]; R], panel, tile);
+        for (row, lanes) in out.chunks_exact_mut(width).zip(&acc) {
+            if let Some(dst) = row.as_chunks_mut::<LANES>().0.get_mut(j) {
+                *dst = *lanes;
+            }
+        }
+    }
+    for (c, panel) in tail.chunks_exact(k).enumerate() {
+        let acc = dot_tile::<R, 1>([[0.0]; R], panel, tile);
+        for (row, &[sum]) in out.chunks_exact_mut(width).zip(&acc) {
+            if let Some(dst) = row.get_mut(full + c) {
+                *dst = sum;
+            }
+        }
+    }
+}
+
+/// Adds `Σ_r δ[r][q]·x[r][i]` (rows ascending) into the `Q` gradient rows
+/// `g` (`Q × n`), for the block's input `x` in `LANES` panel layout and
+/// the `Q` neurons' deltas `d` (`rows × Q`).
+fn grad_rows<const Q: usize>(g: &mut [f64], n: usize, rows: usize, x: &[f64], d: &[f64]) {
+    let full = n / LANES * LANES;
+    let (head, tail) = x.split_at_checked(full * rows).unwrap_or_default();
+    for (j, lanes) in head.chunks_exact(rows * LANES).enumerate() {
+        grad_tile::<Q, LANES>(g, n, j * LANES, lanes, d);
+    }
+    for (c, column) in tail.chunks_exact(rows).enumerate() {
+        grad_tile::<Q, 1>(g, n, full + c, column, d);
+    }
+}
+
+/// One `Q × W` tile of [`grad_rows`] over inputs `at..at + W`: loaded from
+/// `g`, reduced over the rows in registers, stored back.
+#[inline(always)]
+fn grad_tile<const Q: usize, const W: usize>(
+    g: &mut [f64],
+    n: usize,
+    at: usize,
+    x: &[f64],
+    d: &[f64],
+) {
+    let mut acc = [[0.0f64; W]; Q];
+    for (lanes, row) in acc.iter_mut().zip(g.chunks_exact(n)) {
+        if let Some(Ok(stored)) = row.get(at..at + W).map(<[f64; W]>::try_from) {
+            *lanes = stored;
+        }
+    }
+    let acc = dot_tile::<Q, W>(acc, x, d);
+    for (lanes, row) in acc.iter().zip(g.chunks_exact_mut(n)) {
+        if let Some(dst) = row.get_mut(at..at + W) {
+            dst.copy_from_slice(lanes);
+        }
+    }
+}
+
+/// The register tile every block kernel reduces through:
+/// `acc[r][k] += panel[s][k]·xt[s][r]` for `s` ascending, from the given
+/// `acc`, for a `steps × W` panel and `steps × R` transposed operand.
+#[inline(always)]
+fn dot_tile<const R: usize, const W: usize>(
+    mut acc: [[f64; W]; R],
+    panel: &[f64],
+    xt: &[f64],
+) -> [[f64; W]; R] {
+    for (w, x) in panel.as_chunks::<W>().0.iter().zip(xt.as_chunks::<R>().0) {
+        for (lanes, &xr) in acc.iter_mut().zip(x) {
+            for (a, &wk) in lanes.iter_mut().zip(w) {
+                *a += wk * xr;
+            }
+        }
+    }
+    acc
+}
+
+/// Writes the row-major `rows × width` matrix `src` into `dst` in panel
+/// layout: each full group of `L` columns stores its rows' lanes
+/// contiguously (`[group][row][lane]`), then each remaining column stores
+/// its rows (`[column][row]`).
+fn to_panels<const L: usize>(src: &[f64], width: usize, rows: usize, dst: &mut Vec<f64>) {
+    dst.clear();
+    dst.resize(src.len(), 0.0);
+    let (head, tail) = dst
+        .split_at_mut_checked(width / L * L * rows)
+        .unwrap_or_default();
+    let head = head.as_chunks_mut::<L>().0;
+    for (r, row) in src.chunks_exact(width).enumerate() {
+        let (lanes, rest) = row.as_chunks::<L>();
+        for (d, s) in head.iter_mut().skip(r).step_by(rows).zip(lanes) {
+            *d = *s;
+        }
+        for (d, &s) in tail.iter_mut().skip(r).step_by(rows).zip(rest) {
+            *d = s;
         }
     }
 }
@@ -174,15 +406,42 @@ impl ForwardCache {
     }
 }
 
-/// Reusable delta buffers for allocation-free backward passes.
+/// Row-major activations of one [`Mlp::forward_block`] pass, needed by
+/// [`Mlp::backward_block`].
+#[derive(Debug, Clone, Default)]
+pub struct BlockCache {
+    rows: usize,
+    /// `activations[0]` holds the input rows; `activations[i+1]` the
+    /// output rows of layer `i`.
+    activations: Vec<Vec<f64>>,
+    /// Transposed input rows of the forward tile in flight.
+    tile: Vec<f64>,
+}
+
+impl BlockCache {
+    /// Row-major network outputs of the cached pass (`rows × output_dim`).
+    pub fn output(&self) -> &[f64] {
+        self.activations.last().map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Reusable buffers for allocation-free [`Mlp::backward_block`] calls.
 ///
-/// One scratch serves any number of [`Mlp::backward_flat`] calls on the
-/// same network; reuse avoids the per-call `Vec` allocations of
-/// [`Mlp::backward`] on hot training loops.
+/// One scratch serves any number of calls on the same network; reuse
+/// avoids the per-call `Vec` allocations of [`Mlp::backward`] on hot
+/// training loops.
 #[derive(Debug, Clone, Default)]
 pub struct BackwardScratch {
+    /// Row-major δ of the layer in flight.
     delta: Vec<f64>,
-    next_delta: Vec<f64>,
+    /// Row-major δ of the layer below, being formed.
+    next: Vec<f64>,
+    /// δ in the panel layout of `to_panels` over `TILE` neurons.
+    delta_p: Vec<f64>,
+    /// The layer input in the panel layout of `to_panels`.
+    input_p: Vec<f64>,
+    /// Transposed rows of the product tile in flight.
+    tile: Vec<f64>,
 }
 
 /// A feed-forward network with dense layers.
@@ -229,7 +488,7 @@ impl Mlp {
             };
             layers.push(Layer {
                 weights,
-                weights_t: Vec::new(),
+                layouts: WeightLayouts::default(),
                 biases: vec![0.0; outputs],
                 inputs,
                 outputs,
@@ -237,7 +496,7 @@ impl Mlp {
             });
         }
         for layer in &mut layers {
-            layer.refresh_transposed();
+            layer.refresh_layouts();
         }
         Self { layers }
     }
@@ -380,82 +639,89 @@ impl Mlp {
         delta
     }
 
-    /// Backpropagates `output_grad` through the cached pass, **adding**
+    /// Runs a forward pass over a block of row-major input rows
+    /// (`input.len()` a multiple of [`Mlp::input_dim`]) into a reusable
+    /// cache, for a later [`Mlp::backward_block`] call. Each row's
+    /// activations are bit-identical to a [`Mlp::forward_into`] pass over
+    /// that row alone, with no allocations after the cache's first use.
+    pub fn forward_block(&self, input: &[f64], cache: &mut BlockCache) {
+        let n = self.input_dim();
+        debug_assert_eq!(input.len() % n, 0, "input is not whole rows");
+        let rows = input.chunks_exact(n).len();
+        cache.rows = rows;
+        let BlockCache {
+            activations, tile, ..
+        } = cache;
+        activations.resize_with(self.layers.len() + 1, Vec::new);
+        if let Some(first) = activations.first_mut() {
+            first.clear();
+            first.extend_from_slice(input);
+        }
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (before, after) = activations.split_at_mut_checked(l + 1).unwrap_or_default();
+            let (Some(x), Some(out)) = (before.last(), after.first_mut()) else {
+                return;
+            };
+            let (n, m) = (layer.inputs, layer.outputs);
+            out.clear();
+            out.resize(rows * m, 0.0);
+            matmul_rows(&layer.layouts.panels, n, m, x, tile, out);
+            for row in out.chunks_exact_mut(m) {
+                layer.activate(row);
+            }
+        }
+    }
+
+    /// Backpropagates the row-major `output_grads` (∂loss/∂output, one row
+    /// per row of the cached [`Mlp::forward_block`] pass) and **adds** the
     /// parameter gradients into `flat` (canonical order: layer by layer,
     /// weights then biases — the order of [`Mlp::flattened_gradients`]).
     ///
-    /// Performs the exact additions of [`Mlp::backward`] in the same
-    /// order, so accumulating several calls into one flat buffer is
-    /// bit-identical to accumulating them into a [`Gradients`]; the
-    /// reusable `scratch` replaces the per-call `Vec` allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `output_grad` does not match the output dimension or
-    /// `flat.len()` is not [`Mlp::parameter_count`].
-    pub fn backward_flat(
+    /// Every parameter receives exactly the additions that one
+    /// [`Mlp::backward`] call per row, in row order, would make, so the
+    /// result is bit-identical to feeding the rows one by one; the
+    /// reusable `scratch` keeps the call allocation-free after warm-up.
+    pub fn backward_block(
         &self,
-        cache: &ForwardCache,
-        output_grad: &[f64],
+        cache: &BlockCache,
+        output_grads: &[f64],
         flat: &mut [f64],
         scratch: &mut BackwardScratch,
     ) {
-        assert_eq!(
-            output_grad.len(),
-            self.output_dim(),
-            "output gradient mismatch"
-        );
-        assert_eq!(
+        let rows = cache.rows;
+        debug_assert_eq!(output_grads.len(), rows * self.output_dim());
+        debug_assert_eq!(
             flat.len(),
             self.parameter_count(),
             "gradient shape mismatch"
         );
-        let delta = &mut scratch.delta;
-        let next_delta = &mut scratch.next_delta;
-        delta.clear();
-        delta.extend_from_slice(output_grad);
+        if rows == 0 {
+            return;
+        }
+        scratch.delta.clear();
+        scratch.delta.extend_from_slice(output_grads);
         // Flat offset of the layer *after* the current one, maintained
         // while iterating in reverse.
-        let mut offset = self.parameter_count();
+        let mut end = flat.len();
         for (l, layer) in self.layers.iter().enumerate().rev() {
-            offset -= layer.weights.len() + layer.biases.len();
-            let output = &cache.activations[l + 1];
-            let input = &cache.activations[l];
-            for (d, &y) in delta.iter_mut().zip(output) {
-                *d *= layer.activation.derivative_from_output(y);
-            }
-            let (w_grad, b_grad) = flat[offset..offset + layer.weights.len() + layer.biases.len()]
-                .split_at_mut(layer.weights.len());
-            let n = layer.inputs;
-            let x = &input[..n];
+            let start = end.saturating_sub(layer.weights.len() + layer.biases.len());
+            let (Some(params), Some(input), Some(output)) = (
+                flat.get_mut(start..end),
+                cache.activations.get(l),
+                cache.activations.get(l + 1),
+            ) else {
+                return;
+            };
+            end = start;
+            let (w_grad, b_grad) = params
+                .split_at_mut_checked(layer.weights.len())
+                .unwrap_or_default();
             // The first layer's input gradient is never read, so skip it.
-            let need_next = l > 0;
-            next_delta.clear();
-            next_delta.resize(n, 0.0);
-            for o in 0..layer.outputs {
-                let d_o = delta[o];
-                b_grad[o] += d_o;
-                let row = o * n;
-                // Elementwise accumulations: every element sees the same
-                // single multiply-add it did in the nested scalar loop, so
-                // the streams vectorize while gradients stay bit-identical;
-                // fusing the weight-gradient and input-delta updates into
-                // one pass shares the loop and the `d_o` broadcast.
-                if need_next {
-                    let w = &layer.weights[row..row + n];
-                    let wg = &mut w_grad[row..row + n];
-                    let fused = wg.iter_mut().zip(x).zip(next_delta.iter_mut().zip(w));
-                    for ((g, &xi), (nd, &wi)) in fused {
-                        *g += d_o * xi;
-                        *nd += d_o * wi;
-                    }
-                } else {
-                    for (g, &xi) in w_grad[row..row + n].iter_mut().zip(x) {
-                        *g += d_o * xi;
-                    }
-                }
+            if l > 0 {
+                layer.backward_rows::<true>(rows, input, output, w_grad, b_grad, scratch);
+            } else {
+                layer.backward_rows::<false>(rows, input, output, w_grad, b_grad, scratch);
             }
-            std::mem::swap(delta, next_delta);
         }
     }
 
@@ -487,7 +753,7 @@ impl Mlp {
     /// Yields each layer's parameter storage in canonical flattened order
     /// (layer by layer, weights then biases) as mutable slices, so
     /// optimizers can run vectorizable elementwise updates. Callers that
-    /// mutate through this **must** call [`Mlp::refresh_transposed`]
+    /// mutate through this **must** call [`Mlp::refresh_layouts`]
     /// afterwards.
     pub(crate) fn parameter_slices_mut(&mut self) -> impl Iterator<Item = &mut [f64]> + '_ {
         self.layers.iter_mut().flat_map(|layer| {
@@ -498,17 +764,17 @@ impl Mlp {
         })
     }
 
-    /// Rebuilds every layer's column-major weight mirror; required after
-    /// any parameter mutation that bypasses [`Mlp::for_each_parameter`].
-    pub(crate) fn refresh_transposed(&mut self) {
+    /// Rebuilds every layer's derived weight layouts; required after any
+    /// parameter mutation that bypasses [`Mlp::for_each_parameter`].
+    pub(crate) fn refresh_layouts(&mut self) {
         for layer in &mut self.layers {
-            layer.refresh_transposed();
+            layer.refresh_layouts();
         }
     }
 
     /// Applies an in-place update `θ ← θ + update(θ_index)`, visiting
     /// parameters layer by layer (weights then biases). Used by optimizers.
-    /// The forward pass's transposed weight mirror is refreshed afterwards,
+    /// The derived weight layouts are refreshed afterwards,
     /// keeping this the single gateway through which parameters change.
     pub(crate) fn for_each_parameter(&mut self, mut update: impl FnMut(usize, &mut f64)) {
         let mut index = 0;
@@ -521,7 +787,7 @@ impl Mlp {
                 update(index, b);
                 index += 1;
             }
-            layer.refresh_transposed();
+            layer.refresh_layouts();
         }
     }
 
@@ -682,18 +948,23 @@ mod tests {
     }
 
     #[test]
-    fn backward_flat_matches_backward_bitwise() {
+    fn backward_block_matches_backward_bitwise() {
         let mlp = Mlp::new(&[2, 6, 4, 1], Activation::Relu, 13);
         let mut grads = mlp.zero_gradients();
         let mut flat = vec![0.0; mlp.parameter_count()];
+        let mut cache = BlockCache::default();
         let mut scratch = BackwardScratch::default();
-        // Accumulate several backward passes both ways; every intermediate
+        // Accumulate blocks of 1..=4 rows both ways; every intermediate
         // state must agree bit for bit.
-        for k in 0..4 {
-            let cache = mlp.forward_cached(&[0.4 - k as f64, 0.9]);
-            let g = [cache.output()[0] - 0.5];
-            mlp.backward(&cache, &g, &mut grads);
-            mlp.backward_flat(&cache, &g, &mut flat, &mut scratch);
+        for k in 1..=4 {
+            let input: Vec<f64> = (0..k).flat_map(|r| [0.4 - r as f64, 0.9]).collect();
+            mlp.forward_block(&input, &mut cache);
+            let g: Vec<f64> = cache.output().iter().map(|y| y - 0.5).collect();
+            for (row, &gr) in input.chunks(2).zip(&g) {
+                let reference = mlp.forward_cached(row);
+                mlp.backward(&reference, &[gr], &mut grads);
+            }
+            mlp.backward_block(&cache, &g, &mut flat, &mut scratch);
             let reference: Vec<f64> = Mlp::flatten_gradients(&grads).collect();
             assert_eq!(reference, flat);
         }
@@ -701,8 +972,8 @@ mod tests {
 
     #[test]
     fn relu_activation_clamps() {
-        assert_eq!(Activation::Relu.apply(-1.0), 0.0);
-        assert_eq!(Activation::Relu.apply(2.0), 2.0);
+        assert_eq!(Activation::Relu.evaluate(-1.0), 0.0);
+        assert_eq!(Activation::Relu.evaluate(2.0), 2.0);
         assert_eq!(Activation::Relu.derivative_from_output(0.0), 0.0);
         assert_eq!(Activation::Relu.derivative_from_output(3.0), 1.0);
     }

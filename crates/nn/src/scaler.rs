@@ -6,30 +6,33 @@
 /// different scales; the Cox-Time MLP trains poorly on raw values, so the
 /// Selector standardizes features with statistics fitted on the training
 /// split only.
-#[derive(Debug, Clone, PartialEq)]
+/// The default scaler is the identity over zero features, as fitted on no
+/// rows.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StandardScaler {
     means: Vec<f64>,
     std_devs: Vec<f64>,
 }
 
 impl StandardScaler {
-    /// Fits per-feature mean and standard deviation on `rows`.
+    /// Fits per-feature mean and standard deviation on `rows` (owned rows
+    /// or fixed-size arrays alike).
     ///
     /// Features with zero variance get σ = 1 so they standardize to 0
     /// instead of NaN. Returns an identity scaler (zero features) for empty
     /// input.
-    pub fn fit(rows: &[Vec<f64>]) -> Self {
+    pub fn fit<R: AsRef<[f64]>>(rows: &[R]) -> Self {
         if rows.is_empty() {
             return Self {
                 means: Vec::new(),
                 std_devs: Vec::new(),
             };
         }
-        let dim = rows[0].len();
+        let dim = rows[0].as_ref().len();
         let n = rows.len() as f64;
         let mut means = vec![0.0; dim];
         for row in rows {
-            for (m, &v) in means.iter_mut().zip(row) {
+            for (m, &v) in means.iter_mut().zip(row.as_ref()) {
                 *m += v;
             }
         }
@@ -38,7 +41,7 @@ impl StandardScaler {
         }
         let mut vars = vec![0.0; dim];
         for row in rows {
-            for ((v, &x), &m) in vars.iter_mut().zip(row).zip(&means) {
+            for ((v, &x), &m) in vars.iter_mut().zip(row.as_ref()).zip(&means) {
                 *v += (x - m) * (x - m);
             }
         }
@@ -67,6 +70,19 @@ impl StandardScaler {
             .zip(self.means.iter().zip(&self.std_devs))
             .map(|(&x, (&m, &s))| (x - m) / s)
             .collect()
+    }
+
+    /// Standardizes `row` in place: the values of
+    /// [`StandardScaler::transform`], without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` does not match the fitted dimension.
+    pub fn transform_in_place(&self, row: &mut [f64]) {
+        assert_eq!(row.len(), self.means.len(), "feature dimension mismatch");
+        for (x, (&m, &s)) in row.iter_mut().zip(self.means.iter().zip(&self.std_devs)) {
+            *x = (*x - m) / s;
+        }
     }
 
     /// Standardizes many rows.
@@ -107,9 +123,21 @@ mod tests {
 
     #[test]
     fn empty_input_gives_identity() {
-        let scaler = StandardScaler::fit(&[]);
+        let scaler = StandardScaler::fit::<Vec<f64>>(&[]);
+        assert_eq!(scaler, StandardScaler::default());
         assert_eq!(scaler.dim(), 0);
         assert_eq!(scaler.transform(&[]), Vec::<f64>::new());
+    }
+
+    #[test]
+    fn transform_in_place_matches_transform() {
+        let rows = [[1.0, -4.0, 9.5], [2.5, 0.0, -1.0], [7.0, 3.0, 2.0]];
+        let scaler = StandardScaler::fit(&rows);
+        for row in rows {
+            let mut in_place = row;
+            scaler.transform_in_place(&mut in_place);
+            assert_eq!(in_place.to_vec(), scaler.transform(&row));
+        }
     }
 
     #[test]

@@ -18,11 +18,15 @@
 use crate::status::NodeStatus;
 use crate::survival::{SurvivalModel, SurvivalSample, TBNI_CAP_HOURS};
 use anubis_metrics::MetricsError;
-use anubis_nn::{Activation, Adam, BackwardScratch, ForwardCache, Mlp, StandardScaler};
+use anubis_nn::{Activation, Adam, BackwardScratch, BlockCache, ForwardCache, Mlp, StandardScaler};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
+
+/// Risk-set members per network block in [`CoxTimeTrainer::finish`].
+const RISK_BLOCK_ROWS: usize = 32;
 
 /// Training configuration for [`CoxTimeModel::fit`].
 #[derive(Debug, Clone)]
@@ -71,7 +75,8 @@ impl Default for CoxTimeConfig {
 #[derive(Debug, Clone)]
 pub struct CoxTimeModel {
     net: Mlp,
-    scaler: StandardScaler,
+    /// Shared with the trainer that fitted it (and its other snapshots).
+    scaler: Arc<StandardScaler>,
     time_scale: f64,
     /// Ascending `(event time, ΔH₀)` pairs from the Breslow estimator.
     baseline: Vec<(f64, f64)>,
@@ -197,6 +202,7 @@ pub struct CoxTimeTrainer {
     by_duration: Vec<usize>,
     merge_scratch: Vec<usize>,
     incoming_scratch: Vec<usize>,
+    inputs: ScaledInputs,
     net: Mlp,
     adam: Adam,
     rng: ChaCha8Rng,
@@ -228,6 +234,7 @@ impl CoxTimeTrainer {
             by_duration: Vec::new(),
             merge_scratch: Vec::new(),
             incoming_scratch: Vec::new(),
+            inputs: ScaledInputs::default(),
             net,
             adam,
             rng,
@@ -255,7 +262,8 @@ impl CoxTimeTrainer {
 
     /// Absorbs new survival samples, splicing them into the maintained
     /// duration order with an O(n + m) merge instead of an O(n log n)
-    /// re-sort. Does not touch the network, optimizer or RNG.
+    /// re-sort, and rebuilds the standardized network inputs. Does not
+    /// touch the network, optimizer or RNG.
     pub fn ingest(&mut self, new_samples: &[SurvivalSample]) {
         if new_samples.is_empty() {
             return;
@@ -275,6 +283,7 @@ impl CoxTimeTrainer {
             &mut self.merge_scratch,
         );
         std::mem::swap(&mut self.by_duration, &mut self.merge_scratch);
+        self.inputs.rebuild(&self.samples);
         self.order_dirty = true;
         anubis_obs::counter!("coxtime.trainer.samples_ingested", new_samples.len() as i64);
     }
@@ -293,6 +302,7 @@ impl CoxTimeTrainer {
         let samples = &self.samples;
         let by_duration = &self.by_duration;
         let config = &self.config;
+        let inputs = &self.inputs;
         let net = &mut self.net;
         let adam = &mut self.adam;
         let rng = &mut self.rng;
@@ -303,10 +313,6 @@ impl CoxTimeTrainer {
                 actual: 0,
             });
         }
-        let features: Vec<Vec<f64>> = samples.iter().map(|s| s.status.features()).collect();
-        let scaler = StandardScaler::fit(&features);
-        let scaled: Vec<Vec<f64>> = scaler.transform_all(&features);
-        let time_scale = time_scale_of(samples);
         let rank_of: Vec<usize> = {
             let mut rank = vec![0usize; samples.len()];
             for (r, &i) in by_duration.iter().enumerate() {
@@ -315,21 +321,14 @@ impl CoxTimeTrainer {
             rank
         };
 
-        let fill_input = |input: &mut Vec<f64>, t: f64, x: &[f64]| {
-            input.clear();
-            input.push(t / time_scale);
-            input.extend_from_slice(x);
-        };
-
         let p = net.parameter_count();
         // Flat per-batch gradient accumulator (canonical parameter order)
         // and forward/backward scratch, reused across the whole fit.
         let mut acc = vec![0.0f64; p];
+        let mut block = BlockCache::default();
         let mut scratch = BackwardScratch::default();
-        let mut cache_i = net.empty_cache();
-        let mut caches: Vec<ForwardCache> = Vec::new();
-        let mut input: Vec<f64> = Vec::new();
-        let mut exps: Vec<f64> = Vec::new();
+        let mut rows: Vec<f64> = Vec::new();
+        let mut grads: Vec<f64> = Vec::new();
         let mut controls_buf: Vec<usize> = Vec::new();
         let order = &mut self.order;
         if self.order_dirty {
@@ -340,10 +339,11 @@ impl CoxTimeTrainer {
         for _ in 0..epochs {
             order.shuffle(&mut *rng);
             for batch in order.chunks(config.batch_size.max(1)) {
-                // Each backward call accumulates straight into `acc`, so
-                // every parameter receives one addition per call, in
-                // event order. The RNG draws interleave with the compute
-                // and consume the stream in event order.
+                // Each event is one network block: its own row first, then
+                // its controls in draw order, so every parameter receives
+                // one addition per row in event order. The RNG draws
+                // interleave with the compute and consume the stream in
+                // event order.
                 acc.fill(0.0);
                 let mut batch_events = 0usize;
                 for &i in batch {
@@ -365,24 +365,28 @@ impl CoxTimeTrainer {
                     }
                     batch_events += 1;
                     let t_i = samples[i].duration;
-                    fill_input(&mut input, t_i, &scaled[i]);
-                    net.forward_into(&input, &mut cache_i);
-                    let g_i = cache_i.output()[0];
-                    while caches.len() < controls_buf.len() {
-                        caches.push(net.empty_cache());
+                    rows.clear();
+                    inputs.push_row(&mut rows, t_i, i);
+                    for &j in &controls_buf {
+                        inputs.push_row(&mut rows, t_i, j);
                     }
-                    exps.clear();
-                    for (c, &j) in controls_buf.iter().enumerate() {
-                        fill_input(&mut input, t_i, &scaled[j]);
-                        net.forward_into(&input, &mut caches[c]);
-                        // Softplus-style loss: ln(1 + Σ exp(g_j − g_i)).
-                        exps.push((caches[c].output()[0] - g_i).exp());
+                    net.forward_block(&rows, &mut block);
+                    let Some((&g_i, g_controls)) = block.output().split_first() else {
+                        continue;
+                    };
+                    // Softplus-style loss: ln(1 + Σ exp(g_j − g_i)).
+                    grads.clear();
+                    grads.push(0.0);
+                    grads.extend(g_controls.iter().map(|&g_j| (g_j - g_i).exp()));
+                    let Some((event_grad, control_grads)) = grads.split_first_mut() else {
+                        continue;
+                    };
+                    let denom = 1.0 + control_grads.iter().sum::<f64>();
+                    *event_grad = -(denom - 1.0) / denom;
+                    for e in control_grads {
+                        *e /= denom;
                     }
-                    let denom = 1.0 + exps.iter().sum::<f64>();
-                    net.backward_flat(&cache_i, &[-(denom - 1.0) / denom], &mut acc, &mut scratch);
-                    for (c, &e) in exps.iter().enumerate() {
-                        net.backward_flat(&caches[c], &[e / denom], &mut acc, &mut scratch);
-                    }
+                    net.backward_block(&block, &grads, &mut acc, &mut scratch);
                 }
                 if batch_events == 0 {
                     continue;
@@ -411,23 +415,19 @@ impl CoxTimeTrainer {
         let samples = &self.samples;
         let by_duration = &self.by_duration;
         let config = &self.config;
+        let inputs = &self.inputs;
         let net = &self.net;
-        let events: Vec<usize> = (0..samples.len()).filter(|&i| samples[i].event).collect();
-        if events.is_empty() {
+        let mut event_times: Vec<f64> = samples
+            .iter()
+            .filter(|s| s.event)
+            .map(|s| s.duration)
+            .collect();
+        if event_times.is_empty() {
             return Err(MetricsError::InsufficientData {
                 required: 1,
                 actual: 0,
             });
         }
-        let features: Vec<Vec<f64>> = samples.iter().map(|s| s.status.features()).collect();
-        let scaler = StandardScaler::fit(&features);
-        let scaled: Vec<Vec<f64>> = scaler.transform_all(&features);
-        let time_scale = time_scale_of(samples);
-        let fill_input = |input: &mut Vec<f64>, t: f64, x: &[f64]| {
-            input.clear();
-            input.push(t / time_scale);
-            input.extend_from_slice(x);
-        };
         let threads = config.threads;
 
         // Breslow baseline hazard on a bucketed event-time grid. Buckets
@@ -435,7 +435,6 @@ impl CoxTimeTrainer {
         // risk-set size is representative of the deaths inside (a coarse
         // bucket anchored at its first event systematically understates
         // late hazards).
-        let mut event_times: Vec<f64> = events.iter().map(|&i| samples[i].duration).collect();
         event_times.sort_by(f64::total_cmp);
         let buckets = config.baseline_buckets.max(1).min(event_times.len());
         let per_bucket = event_times.len().div_ceil(buckets);
@@ -455,20 +454,26 @@ impl CoxTimeTrainer {
             specs.push((t_bucket, t_mid, deaths, start_rank));
             k = end;
         }
-        let net_ref: &Mlp = net;
         let baseline: Vec<(f64, f64)> = anubis_parallel::map_items(
             &specs,
             threads,
             |&(t_bucket, t_mid, deaths, start_rank)| {
-                let mut cache = net_ref.empty_cache();
-                let mut input: Vec<f64> = Vec::new();
-                let risk_sum: f64 = by_duration[start_rank..]
-                    .iter()
-                    .map(|&j| {
-                        fill_input(&mut input, t_mid, &scaled[j]);
-                        net_ref.forward_scalar_into(&input, &mut cache).exp()
-                    })
-                    .sum();
+                let mut block = BlockCache::default();
+                let mut rows: Vec<f64> = Vec::new();
+                // The risk set goes through the network in row blocks;
+                // the exp terms are added in suffix order from -0.0, the
+                // fold `Iterator::sum` performs over f64.
+                let mut risk_sum = -0.0f64;
+                for members in by_duration[start_rank..].chunks(RISK_BLOCK_ROWS) {
+                    rows.clear();
+                    for &j in members {
+                        inputs.push_row(&mut rows, t_mid, j);
+                    }
+                    net.forward_block(&rows, &mut block);
+                    for &g in block.output() {
+                        risk_sum += g.exp();
+                    }
+                }
                 let delta = if risk_sum > 0.0 {
                     deaths / risk_sum
                 } else {
@@ -480,8 +485,8 @@ impl CoxTimeTrainer {
 
         Ok(CoxTimeModel {
             net: self.net.clone(),
-            scaler,
-            time_scale,
+            scaler: Arc::clone(&inputs.scaler),
+            time_scale: inputs.time_scale,
             baseline,
         })
     }
@@ -498,6 +503,44 @@ impl CoxTimeTrainer {
         self.ingest(delta);
         self.train(epochs)?;
         self.finish()
+    }
+}
+
+/// The network inputs a trainer derives from its samples: standardized
+/// covariates, one [`NodeStatus::FEATURE_DIM`] row per sample in sample
+/// order, with the scaler and time normalization that produced them.
+/// Rebuilt on every [`CoxTimeTrainer::ingest`] — standardization statistics
+/// cover every sample — and read by both `train` and `finish`.
+#[derive(Debug, Clone, Default)]
+struct ScaledInputs {
+    scaled: Vec<f64>,
+    scaler: Arc<StandardScaler>,
+    time_scale: f64,
+}
+
+impl ScaledInputs {
+    /// Rebuilds the inputs from all of `samples`: the raw covariates,
+    /// their scaler, then the covariates standardized in place.
+    fn rebuild(&mut self, samples: &[SurvivalSample]) {
+        const DIM: usize = NodeStatus::FEATURE_DIM;
+        self.scaled.clear();
+        for sample in samples {
+            self.scaled.extend(sample.status.features());
+        }
+        let scaler = StandardScaler::fit(self.scaled.as_chunks::<DIM>().0);
+        for row in self.scaled.chunks_exact_mut(DIM) {
+            scaler.transform_in_place(row);
+        }
+        self.scaler = Arc::new(scaler);
+        self.time_scale = time_scale_of(samples);
+    }
+
+    /// Appends sample `j`'s network input at time `t` to a row-major
+    /// block: `t / time_scale`, then its standardized covariates.
+    fn push_row(&self, rows: &mut Vec<f64>, t: f64, j: usize) {
+        let dim = NodeStatus::FEATURE_DIM;
+        rows.push(t / self.time_scale);
+        rows.extend_from_slice(self.scaled.get(j * dim..(j + 1) * dim).unwrap_or_default());
     }
 }
 

@@ -212,16 +212,18 @@ impl Default for AnalysisConfig {
             // fleetd's criteria refresh: rank selection straight off the
             // shard sketches' sorted runs, allocation-free by design.
             HotEntry::enforced("metrics/src/sketch.rs", "quantile_of"),
-            // MLP forward/backward and the optimizer step: the PR 2 hoist
-            // left the kernels allocation-free, so the ones whose reach is
-            // free of name-collision edges are enforced. The two forward
-            // kernels stay tracked: their `forward` callee name-matches
-            // unrelated `forward`/`apply` methods that carry baseline
-            // allocations, and the over-approximating graph must keep
-            // those edges (see crate::callgraph).
+            // MLP forward/backward and the optimizer step: the kernels are
+            // allocation-free after warm-up, so the ones whose reach is
+            // free of name-collision edges are enforced — the row-blocked
+            // pair included. The two per-row forward kernels stay tracked:
+            // their `forward` callee name-matches unrelated `forward`
+            // methods that carry baseline allocations, and the
+            // over-approximating graph must keep those edges (see
+            // crate::callgraph).
             HotEntry::tracked("nn/src/mlp.rs", "forward_into"),
             HotEntry::tracked("nn/src/mlp.rs", "forward_scalar_into"),
-            HotEntry::enforced("nn/src/mlp.rs", "backward_flat"),
+            HotEntry::enforced("nn/src/mlp.rs", "forward_block"),
+            HotEntry::enforced("nn/src/mlp.rs", "backward_block"),
             HotEntry::enforced("nn/src/adam.rs", "step_flat"),
             // Deterministic parallel executor: every chunk body runs here.
             HotEntry::tracked("parallel/src/lib.rs", "execute"),
